@@ -2,8 +2,9 @@
 // workload it was built for: one prepared gate-level QSVT context serving
 // many right-hand sides. The interpreter path re-walks the cached circuit
 // per solve, re-deriving every gate matrix; the compiled path replays the
-// context's fused, precision-specialized program. Acceptance: >= 2x
-// wall-clock with amplitudes agreeing within precision tolerance.
+// context's fused, precision-specialized program on a one-lane panel (the
+// single-RHS replay path). Acceptance: >= 2x wall-clock with amplitudes
+// agreeing within precision tolerance.
 //
 // Emits BENCH_compiled_exec.json (see bench_io.hpp).
 //
@@ -19,7 +20,8 @@
 #include "common/timer.hpp"
 #include "linalg/random_matrix.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
+#include "qsim/exec/panel.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsvt/solve.hpp"
 #include "stateprep/kp_tree.hpp"
@@ -79,22 +81,22 @@ Measurement run_scenario(const Scenario& sc) {
     m.interpreted_seconds = t.seconds();
   }
 
-  // Compiled replay: the context's cached program plus a per-RHS compiled
-  // state-preparation program (exactly what run_gate_level does now).
+  // Compiled replay: a per-RHS compiled state-preparation program and the
+  // context's cached program, replayed on a one-lane panel.
   std::vector<std::vector<double>> compiled(rhs.size());
   {
-    const qsim::exec::Executor<double> executor;
+    const qsim::exec::PanelExecutor<double> executor;
+    const std::size_t rp_bit = std::size_t{1} << qc.realpart_qubit;
     Timer t;
     for (int rep = 0; rep < sc.reps; ++rep) {
       for (std::size_t r = 0; r < rhs.size(); ++r) {
         const auto sp = stateprep::kp_state_preparation(rhs[r]);
-        qsim::Statevector<double> sv(width);
-        executor.run(qsim::exec::compile<double>(sp.circuit), sv);
-        executor.run(ctx.programs->get<double>(), sv);
-        sv.apply(flip);
-        sv.postselect_zero(zeros);
+        qsim::exec::StatePanel<double> panel(width, 1);
+        executor.run(qsim::exec::compile<double>(sp.circuit), panel);
+        executor.run(ctx.programs->get<double>(), panel);
+        panel.postselect(qc.zero_postselect(), {qc.realpart_qubit});
         compiled[r].resize(N);
-        for (std::size_t i = 0; i < N; ++i) compiled[r][i] = sv[i].real();
+        for (std::size_t i = 0; i < N; ++i) compiled[r][i] = panel.amp(i | rp_bit, 0).real();
       }
     }
     m.compiled_seconds = t.seconds();

@@ -1,7 +1,7 @@
 // Multi-RHS panel executor vs sequential compiled replay — the acceptance
 // benchmark for the panel subsystem: one prepared gate-level QSVT context
 // serving a batch of right-hand sides. The sequential path replays the
-// cached program once per RHS (the scalar hot path `qsvt_solve_direction`);
+// cached program once per RHS on a one-lane panel (`qsvt_solve_direction`);
 // the panel path loads the batch into StatePanel lanes and replays the
 // program once per panel (`qsvt_solve_directions`). Acceptance: >= 2x
 // per-RHS throughput at panel width >= 8 on the banded workload, with the
@@ -44,9 +44,9 @@ struct Scenario {
 };
 
 struct Measurement {
-  double sequential_seconds = 0.0;              ///< per-RHS, scalar replay
+  double sequential_seconds = 0.0;              ///< per-RHS, one-lane replay
   std::vector<double> panel_seconds;            ///< per-RHS, one entry per width
-  double worst_diff = 0.0;                      ///< panel vs scalar directions
+  double worst_diff = 0.0;                      ///< panel vs one-lane directions
 };
 
 Measurement run_scenario(const Scenario& sc, const std::vector<std::size_t>& widths,
@@ -60,8 +60,8 @@ Measurement run_scenario(const Scenario& sc, const std::vector<std::size_t>& wid
 
   Measurement m;
 
-  // Sequential baseline: the scalar hot path, one full program replay per
-  // right-hand side.
+  // Sequential baseline: one one-lane panel per right-hand side, one full
+  // program replay each.
   std::vector<linalg::Vector<double>> reference(n_rhs);
   {
     Timer t;

@@ -15,7 +15,7 @@
 //
 // --panel-width N sets how many right-hand sides share one compiled-
 // program sweep (the multi-RHS panel executor; default 8, small powers
-// of two vectorize best). 0 or 1 forces the scalar per-RHS path.
+// of two vectorize best). 0 or 1 replays one one-lane panel per RHS.
 // --store-mb N sets the byte budget of the content-addressed matrix
 // store behind PUT /v1/matrices (default 512; clamped up so one
 // max-dimension matrix always fits).

@@ -599,7 +599,7 @@ HttpResponse Coordinator::do_submit_dist(const HttpRequest& request, const Json&
   }
 
   if (admitted < world) {
-    // Unwind: cancel what was admitted so no rank sits blocked in its
+    // Unwind: cancel what was admitted so no rank sits waiting in its
     // first exchange until the await timeout. Best effort — a rank whose
     // job already started answers 409 and fails on its own via the
     // transport timeout, which is the designed backstop.

@@ -7,8 +7,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/jacobi_eig.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
-#include "qsim/statevector.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/synth/qft.hpp"
 #include "qsim/synth/ucr.hpp"
 #include "qsvt/denormalize.hpp"
@@ -116,20 +115,16 @@ HhlResult hhl_solve(const linalg::Matrix<double>& A, const linalg::Vector<double
   // Uncompute QPE.
   c.append(qpe.dagger());
 
-  // Compile (fusing the QPE ladders) and execute, then postselect
-  // {rotation = 1, clock = 0}.
-  qsim::Statevector<double> sv(width);
-  qsim::exec::Executor<double>().run(qsim::exec::compile<double>(c), sv);
-  qsim::Circuit flip(width);
-  flip.x(rot);
-  sv.apply(flip);
-  std::vector<std::uint32_t> zeros = clock;
-  zeros.push_back(rot);
-  const double p_success = sv.postselect_zero(zeros);
+  // Compile (fusing the QPE ladders) and replay on a one-lane panel, then
+  // postselect {rotation = 1, clock = 0}.
+  qsim::exec::StatePanel<double> panel(width, 1);
+  qsim::exec::PanelExecutor<double>().run(qsim::exec::compile<double>(c), panel);
+  const double p_success = panel.postselect(clock, {rot})[0];
+  const std::size_t rot_bit = std::size_t{1} << rot;
 
   HhlResult out;
   out.direction.resize(N);
-  for (std::size_t i = 0; i < N; ++i) out.direction[i] = sv[i].real();
+  for (std::size_t i = 0; i < N; ++i) out.direction[i] = panel.amp(i | rot_bit, 0).real();
   const double nrm = linalg::nrm2(out.direction);
   expects(nrm > 0.0, "hhl: zero-probability postselection");
   for (auto& v : out.direction) v /= nrm;

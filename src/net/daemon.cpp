@@ -623,7 +623,7 @@ std::string SolverDaemon::metrics_text() const {
   m.counter("mpqls_program_ops_total", "Fused executor ops across compiled programs.",
             stats.program_ops_total);
 
-  m.gauge("mpqls_panel_width", "Configured RHS lanes per execution panel (<2 = scalar path).",
+  m.gauge("mpqls_panel_width", "Configured RHS lanes per execution panel.",
           static_cast<std::uint64_t>(options_.service.panel_width));
   m.counter("mpqls_panels_executed_total",
             "Compiled-program sweeps that carried a panel of RHS lanes.",
@@ -764,7 +764,7 @@ std::string SolverDaemon::metrics_text() const {
             "Amplitude bytes this rank shipped to peers during exchanges.",
             stats.dist.bytes_moved);
   m.counter("mpqls_dist_exchange_seconds_total",
-            "Wall clock this rank spent blocked in peer exchanges.",
+            "Wall clock this rank spent waiting in peer exchanges.",
             stats.dist.exchange_seconds);
   m.counter("mpqls_dist_local_seconds_total",
             "Wall clock this rank spent applying local shard ops.",

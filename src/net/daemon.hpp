@@ -124,7 +124,7 @@ class SolverDaemon {
   /// Rendezvous for distributed shard-group exchanges: POST
   /// /v1/shard/exchange deposits here; the job's HttpPeerChannel awaits.
   /// Declared before service_ so it outlives the pools (a draining job's
-  /// channel may still be blocked on it during service destruction).
+  /// channel may still be waiting on it during service destruction).
   qsim::exec::dist::ShardHub shard_hub_;
   service::SolverService service_;
   Router router_;

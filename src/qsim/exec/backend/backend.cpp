@@ -56,12 +56,12 @@ std::vector<std::string> BackendRegistry::names() const {
 }
 
 BackendRegistry& backend_registry() {
-  // Built-ins install inside the same once-guard that builds the registry,
-  // so every caller observes them (no registration/lookup race at startup).
+  // The built-in installs inside the same once-guard that builds the
+  // registry, so every caller observes it (no registration/lookup race at
+  // startup).
   static BackendRegistry* registry = [] {
     auto* r = new BackendRegistry();
     r->register_backend(make_reference_backend());
-    r->register_backend(make_blocked_backend());
     return r;
   }();
   return *registry;

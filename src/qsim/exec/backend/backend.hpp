@@ -2,7 +2,7 @@
 // pipeline (Circuit -> FusedIr -> Program<T>) is backend-agnostic; this
 // interface makes the *last* stage — replaying a Program<T> against a
 // register — a dispatchable seam shaped like the GPU statevector APIs
-// (cuStateVec-style): create a handle, query workspace, apply a program.
+// (cuStateVec-style): create a handle, apply a program.
 //
 // Contract:
 //  * `create_handle()` returns the backend's per-consumer state (plan
@@ -10,17 +10,18 @@
 //    calls on it may race from many solve threads, so a backend's handle
 //    must be internally synchronized. Destroying the handle (its last
 //    shared_ptr) releases everything the backend allocated for it.
-//  * `apply_program` / `apply_program_panel` replay every op of the
-//    program, in order, against the register — semantically identical to
-//    Executor<T>/PanelExecutor<T> up to floating-point reassociation. The
-//    program outlives the handle's use of it (programs are cached inside
-//    a ProgramSet for the context's lifetime), which lets backends key
-//    per-program plans by address.
+//  * `apply_program_panel` replays every op of the program, in order,
+//    against every lane of the panel — semantically identical to
+//    PanelExecutor<T> up to floating-point reassociation. A single
+//    right-hand side is a one-lane panel. The program outlives the
+//    handle's use of it (programs are cached inside a ProgramSet for the
+//    context's lifetime), which lets backends key per-program plans by
+//    address.
 //  * `capabilities()` is a static descriptor the service layer surfaces in
 //    /v1/healthz and the cluster coordinator routes on.
 //
 // Adding a backend = subclass ExecBackend, implement the entry points, and
-// register an instance in `register_builtin_backends` (backend.cpp) or via
+// register an instance in `backend_registry()` (backend.cpp) or via
 // `backend_registry().register_backend(...)` at startup. Nothing above
 // this layer (solver, service, daemon, coordinator) names concrete
 // backends except by string.
@@ -33,7 +34,6 @@
 
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/program.hpp"
-#include "qsim/statevector.hpp"
 
 namespace mpqls::qsim::exec {
 
@@ -65,18 +65,6 @@ class ExecBackend {
   /// Fresh per-consumer state. Never nullptr.
   virtual std::shared_ptr<BackendHandle> create_handle() const = 0;
 
-  /// Upper bound on the auxiliary bytes one replay thread needs for an
-  /// `num_qubits`-qubit register (scratch registers, gather buffers —
-  /// excludes the statevector itself). Telemetry/planning only.
-  virtual std::size_t workspace_bytes(std::uint32_t num_qubits) const = 0;
-
-  // Scalar register entry points. (Virtuals cannot be templates; the f16
-  // tier has no Statevector<f16> — half always runs the panel form.)
-  virtual void apply_program(BackendHandle& handle, const Program<float>& program,
-                             Statevector<float>& sv) const = 0;
-  virtual void apply_program(BackendHandle& handle, const Program<double>& program,
-                             Statevector<double>& sv) const = 0;
-
   // Panel entry points, one per storage tier.
   virtual void apply_program_panel(BackendHandle& handle, const Program<f16>& program,
                                    StatePanel<f16>& panel) const = 0;
@@ -86,8 +74,8 @@ class ExecBackend {
                                    StatePanel<double>& panel) const = 0;
 };
 
-/// Process-wide backend registry. The built-ins ("reference", "blocked")
-/// self-register on first access; additional backends may be registered at
+/// Process-wide backend registry. The built-in "reference" backend
+/// self-registers on first access; additional backends may be registered at
 /// startup. Lookup is by capability name. Thread-safe; registered backends
 /// live for the process lifetime (raw pointers returned by find/list never
 /// dangle).
@@ -115,7 +103,7 @@ class BackendRegistry {
   std::shared_ptr<Impl> impl_;
 };
 
-/// The process-wide registry (built-ins installed on first call).
+/// The process-wide registry (the built-in installed on first call).
 BackendRegistry& backend_registry();
 
 /// Name of the backend the stack selects when nothing else is configured.
@@ -127,25 +115,8 @@ const ExecBackend* find_backend(const std::string& name);
 /// The "reference" backend (always registered).
 const ExecBackend& default_backend();
 
-// Built-in factories (used by the registry; exposed for tests that want a
-// private instance with non-default tuning).
+/// The built-in factory (used by the registry; exposed for tests that
+/// want a private instance or a named delegate).
 std::shared_ptr<ExecBackend> make_reference_backend();
-
-/// Tuning knobs of the cache-blocked backend; the defaults target an
-/// L1/L2-resident tile on current x86 parts. Exposed so tests and benches
-/// can force specific blocking geometries.
-struct BlockedBackendOptions {
-  /// Per-thread tile scratch budget in bytes (statevector elements only;
-  /// dense-op scratch rides on top). The tile qubit count m is the
-  /// largest m with 2^m amplitudes fitting this budget.
-  std::size_t tile_bytes = std::size_t{1} << 17;  // 128 KiB
-  /// Max high (>= block_bits) target qubits gathered into one tile pass.
-  std::uint32_t max_high_bits = 5;
-  /// Runs shorter than this execute as full-state barriers instead — the
-  /// gather/scatter round trip needs a few ops to amortize.
-  std::uint32_t min_run_ops = 4;
-};
-
-std::shared_ptr<ExecBackend> make_blocked_backend(const BlockedBackendOptions& options = {});
 
 }  // namespace mpqls::qsim::exec

@@ -1,27 +1,25 @@
-// The "reference" backend: the pre-existing OpenMP scalar and panel
-// executors, dispatched through the ExecBackend seam. Zero regression by
-// construction — apply_program IS Executor<T>::run and apply_program_panel
-// IS PanelExecutor<T>::run, so results are bit-identical to direct
-// executor calls for a fixed thread count.
+// The "reference" backend: the OpenMP panel executor dispatched through
+// the ExecBackend seam. apply_program_panel IS PanelExecutor<T>::run, so
+// results are bit-identical to direct executor calls for a fixed thread
+// count.
 #include "qsim/exec/backend/backend.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/exec/panel_executor.hpp"
 
 namespace mpqls::qsim::exec {
 
 namespace {
 
-/// The executors are stateless, so the reference handle carries nothing;
-/// it exists to satisfy the handle lifecycle of the interface.
+/// The executor is stateless, so the reference handle carries nothing; it
+/// exists to satisfy the handle lifecycle of the interface.
 class ReferenceHandle final : public BackendHandle {};
 
 class ReferenceBackend final : public ExecBackend {
  public:
   ReferenceBackend() {
     caps_.name = "reference";
-    caps_.description = "gate-at-a-time OpenMP executor (scalar + lane-templated panel kernels)";
+    caps_.description = "gate-at-a-time OpenMP executor (lane-templated panel kernels)";
     caps_.precisions = {"half", "single", "double"};
-    caps_.max_qubits = 30;  // the Statevector/StatePanel register cap
+    caps_.max_qubits = 30;  // the StatePanel register cap
     caps_.panel_widths = {1, 2, 4, 8, 16, 0};
   }
 
@@ -29,21 +27,6 @@ class ReferenceBackend final : public ExecBackend {
 
   std::shared_ptr<BackendHandle> create_handle() const override {
     return std::make_shared<ReferenceHandle>();
-  }
-
-  std::size_t workspace_bytes(std::uint32_t /*num_qubits*/) const override {
-    // Per-thread dense scratch only: two split planes of the widest fused
-    // window (<= 2^3 sub-amplitudes by default compile options) in double.
-    return 2 * (std::size_t{1} << 3) * sizeof(double);
-  }
-
-  void apply_program(BackendHandle&, const Program<float>& program,
-                     Statevector<float>& sv) const override {
-    Executor<float>{}.run(program, sv);
-  }
-  void apply_program(BackendHandle&, const Program<double>& program,
-                     Statevector<double>& sv) const override {
-    Executor<double>{}.run(program, sv);
   }
 
   void apply_program_panel(BackendHandle&, const Program<f16>& program,

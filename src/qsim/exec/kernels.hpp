@@ -1,14 +1,9 @@
-// The op kernels shared by every CPU execution backend. These are the
-// bodies that used to live as private statics of Executor<T> and
-// PanelExecutor<T>, extracted verbatim so the "reference" backend and the
-// cache-blocked backend replay *literally the same arithmetic* — the
-// blocked executor reuses them on its gathered tile registers (with
-// `allow_parallel = false`, because it already parallelizes over tiles and
-// a nested OpenMP region per op per tile would swamp the tile work).
-//
-// Per-amplitude arithmetic order is identical in both modes; the
-// allow_parallel flag only picks which loop drives the kernel, so results
-// are reproducible across backends for a fixed thread count.
+// The op kernels of every compiled replay: batched panels, one-lane
+// panels (single right-hand sides) and distributed shards all run these
+// bodies against split real/imaginary planes with the lane index
+// innermost (see panel.hpp). Which loop drives a kernel (OpenMP or
+// serial) never changes the per-amplitude arithmetic, so results are
+// reproducible for a fixed lane count.
 #pragma once
 
 #include <algorithm>
@@ -36,162 +31,6 @@ std::uint64_t expand_index(std::uint64_t compact, const CompiledOp<T>& op) {
   return compact | op.set_mask;
 }
 
-// Below-threshold registers skip the OpenMP region entirely: entering a
-// (even one-thread) parallel region per op costs more than a whole
-// small-register sweep, and the compiled hot path runs thousands of ops.
-inline constexpr std::int64_t kParallelPairs = std::int64_t{1} << 13;
-inline constexpr std::int64_t kParallelBlocks = std::int64_t{1} << 11;
-inline constexpr std::int64_t kParallelAmps = std::int64_t{1} << 14;
-
-// --- scalar (Statevector<T>) kernels ---------------------------------------
-
-template <typename T>
-void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-              bool allow_parallel = true) {
-  const std::uint64_t bit = op.target_bit;
-  const std::int64_t pairs = n >> op.free_shift;
-  // Below the lowest re-inserted bit, consecutive loop indices map to
-  // consecutive amplitudes — process those runs with a vectorizable
-  // split re/im inner loop. chunk is a power of two and always divides
-  // `pairs` (there are at least log2(chunk) free bits below every
-  // inserted bit).
-  const std::int64_t chunk =
-      std::min<std::int64_t>(static_cast<std::int64_t>(op.insert_bits[0]), pairs);
-  const T m00r = op.m00.real(), m00i = op.m00.imag();
-  const T m01r = op.m01.real(), m01i = op.m01.imag();
-  const T m10r = op.m10.real(), m10i = op.m10.imag();
-  const T m11r = op.m11.real(), m11i = op.m11.imag();
-  auto chunk_kernel = [&](std::int64_t ii) {
-    const std::uint64_t i = expand_index(static_cast<std::uint64_t>(ii), op);
-    T* p0 = reinterpret_cast<T*>(amps + i);
-    T* p1 = reinterpret_cast<T*>(amps + (i | bit));
-#pragma omp simd
-    for (std::int64_t l = 0; l < chunk; ++l) {
-      const T re0 = p0[2 * l], im0 = p0[2 * l + 1];
-      const T re1 = p1[2 * l], im1 = p1[2 * l + 1];
-      p0[2 * l] = m00r * re0 - m00i * im0 + m01r * re1 - m01i * im1;
-      p0[2 * l + 1] = m00r * im0 + m00i * re0 + m01r * im1 + m01i * re1;
-      p1[2 * l] = m10r * re0 - m10i * im0 + m11r * re1 - m11i * im1;
-      p1[2 * l + 1] = m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1;
-    }
-  };
-  if (allow_parallel && pairs >= kParallelPairs) {
-#pragma omp parallel for
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
-  } else {
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
-  }
-}
-
-template <typename T>
-void apply_dense(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                 std::vector<T>& run_scratch, bool allow_parallel = true) {
-  using complex_type = std::complex<T>;
-  const std::uint32_t k = op.num_targets;
-  const std::size_t sub_dim = std::size_t{1} << k;
-  const std::int64_t blocks = n >> op.free_shift;
-  const std::uint64_t* offsets = op.offsets.data();
-  const T* mre = op.payload_re.data();
-  const T* mim = op.payload_im.data();
-  // The sub-state and the matrix rows are processed in split
-  // real/imaginary planes: the inner product below is then contiguous
-  // scalar arrays, which the compiler vectorizes (the interleaved
-  // complex layout would not).
-  auto block_kernel = [&](std::int64_t bb, T* sre, T* sim) {
-    // Expand the block index into the base index: target and control
-    // bits re-inserted, positive controls set.
-    const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
-    for (std::size_t s = 0; s < sub_dim; ++s) {
-      const complex_type a = amps[base | offsets[s]];
-      sre[s] = a.real();
-      sim[s] = a.imag();
-    }
-    for (std::size_t r = 0; r < sub_dim; ++r) {
-      const T* rre = mre + r * sub_dim;
-      const T* rim = mim + r * sub_dim;
-      T acc_re{}, acc_im{};
-#pragma omp simd reduction(+ : acc_re, acc_im)
-      for (std::size_t s = 0; s < sub_dim; ++s) {
-        acc_re += rre[s] * sre[s] - rim[s] * sim[s];
-        acc_im += rre[s] * sim[s] + rim[s] * sre[s];
-      }
-      amps[base | offsets[r]] = complex_type(acc_re, acc_im);
-    }
-  };
-  if (allow_parallel && blocks >= kParallelBlocks) {
-#pragma omp parallel
-    {
-      std::vector<T> scratch(2 * sub_dim);
-#pragma omp for
-      for (std::int64_t bb = 0; bb < blocks; ++bb) {
-        block_kernel(bb, scratch.data(), scratch.data() + sub_dim);
-      }
-    }
-  } else {
-    if (run_scratch.size() < 2 * sub_dim) run_scratch.resize(2 * sub_dim);
-    for (std::int64_t bb = 0; bb < blocks; ++bb) {
-      block_kernel(bb, run_scratch.data(), run_scratch.data() + sub_dim);
-    }
-  }
-}
-
-template <typename T>
-void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                    bool allow_parallel = true) {
-  const std::uint32_t k = op.num_targets;
-  const std::int64_t count = n >> op.free_shift;  // firing amplitudes only
-  const std::uint64_t* target_bits = op.target_bits.data();
-  const std::complex<T>* d = op.payload.data();
-  auto amp_kernel = [&](std::int64_t ii) {
-    const std::uint64_t i = expand_index(static_cast<std::uint64_t>(ii), op);
-    std::uint64_t sub = 0;
-    for (std::uint32_t t = 0; t < k; ++t) {
-      if (i & target_bits[t]) sub |= std::uint64_t{1} << t;
-    }
-    amps[i] *= d[sub];
-  };
-  if (allow_parallel && count >= kParallelAmps) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
-  } else {
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
-  }
-}
-
-template <typename T>
-void apply_phase(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                 bool allow_parallel = true) {
-  const std::complex<T> phase = op.phase;
-  if (allow_parallel && n >= kParallelAmps) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < n; ++i) amps[i] *= phase;
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) amps[i] *= phase;
-  }
-}
-
-/// One op against a scalar register (the per-op body of Executor::run).
-template <typename T>
-void apply_op(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-              std::vector<T>& dense_scratch, bool allow_parallel = true) {
-  switch (op.kind) {
-    case OpKind::kApply1q:
-      apply_1q(op, amps, n, allow_parallel);
-      break;
-    case OpKind::kDense:
-      apply_dense(op, amps, n, dense_scratch, allow_parallel);
-      break;
-    case OpKind::kDiagonal:
-      apply_diagonal(op, amps, n, allow_parallel);
-      break;
-    case OpKind::kGlobalPhase:
-      apply_phase(op, amps, n, allow_parallel);
-      break;
-  }
-}
-
-// --- panel (StatePanel<T>) kernels -----------------------------------------
-//
 // Amplitudes load/store through the storage precision T but all kernel
 // arithmetic happens in the compute precision exec_compute_t<T> (float for
 // the f16 tier, T itself for float/double). The lane count is a template
@@ -199,25 +38,29 @@ void apply_op(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
 // by heavily-controlled ops with short inner loops, and a compile-time
 // lane count unrolls them into straight-line SIMD.
 
-// Same region-entry economics as the scalar kernels, divided by the lane
-// count: every enumerated amplitude does `lanes` lanes of work, so a panel
-// reaches the scalar thresholds at 1/B of the register size.
+// Below-threshold registers skip the OpenMP region entirely: entering a
+// (even one-thread) parallel region per op costs more than a whole
+// small-register sweep, and the compiled hot path runs thousands of ops.
+// The thresholds count amplitude-lanes — every enumerated amplitude does
+// `lanes` lanes of work, so a B-lane panel goes parallel at 1/B of the
+// register size a one-lane replay needs.
 inline constexpr std::int64_t kParallelPairWork = std::int64_t{1} << 13;
 inline constexpr std::int64_t kParallelBlockWork = std::int64_t{1} << 11;
 inline constexpr std::int64_t kParallelAmpWork = std::int64_t{1} << 14;
 
 template <int kLanes, typename T>
 void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                    std::int64_t lanes_rt, bool allow_parallel = true) {
+                    std::int64_t lanes_rt) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::uint64_t bit = op.target_bit;
   const std::int64_t pairs = n >> op.free_shift;
-  // Same chunking as the scalar kernel: below the lowest re-inserted bit,
-  // consecutive loop indices map to consecutive amplitudes — and in the
-  // panel layout consecutive amplitudes are contiguous blocks of `lanes`
-  // elements, so a chunk of C pairs is one flat unit-stride run of
-  // C*lanes scalars per plane. One index expansion covers the whole run;
+  // Below the lowest re-inserted bit, consecutive loop indices map to
+  // consecutive amplitudes — and in the panel layout consecutive
+  // amplitudes are contiguous blocks of `lanes` elements, so a chunk of C
+  // pairs is one flat unit-stride run of C*lanes scalars per plane. (chunk
+  // is a power of two and always divides `pairs`: there are at least
+  // log2(chunk) free bits below every inserted bit.) One index expansion covers the whole run;
   // the batch dimension rides inside the same SIMD loop.
   const std::int64_t chunk =
       std::min<std::int64_t>(static_cast<std::int64_t>(op.insert_bits[0]), pairs);
@@ -243,7 +86,7 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       q1[j] = static_cast<T>(m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1);
     }
   };
-  if (allow_parallel && pairs * lanes >= kParallelPairWork) {
+  if (pairs * lanes >= kParallelPairWork) {
 #pragma omp parallel for
     for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
   } else {
@@ -295,6 +138,37 @@ void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restric
       dst_re[l] = static_cast<T>(acc_re[l]);
       dst_im[l] = static_cast<T>(acc_im[l]);
     }
+  }
+}
+
+/// One-lane dense block. With a single lane there is no lane loop to
+/// vectorize, so the sub-state is gathered into split planes and each
+/// output amplitude is one row·column inner product over contiguous
+/// arrays, vectorized across the sub-dimension — the form that keeps the
+/// 2^7-wide windows of dense-embedding programs in SIMD.
+template <typename T>
+void dense_block_one_lane(const CompiledOp<T>& op, T* re, T* im, std::size_t sub_dim,
+                          std::int64_t bb, exec_compute_t<T>* sre, exec_compute_t<T>* sim) {
+  using C = exec_compute_t<T>;
+  const std::uint64_t* offsets = op.offsets.data();
+  const C* mre = op.payload_re.data();
+  const C* mim = op.payload_im.data();
+  const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
+  for (std::size_t s = 0; s < sub_dim; ++s) {
+    sre[s] = static_cast<C>(re[base | offsets[s]]);
+    sim[s] = static_cast<C>(im[base | offsets[s]]);
+  }
+  for (std::size_t r = 0; r < sub_dim; ++r) {
+    const C* rre = mre + r * sub_dim;
+    const C* rim = mim + r * sub_dim;
+    C acc_re{}, acc_im{};
+#pragma omp simd reduction(+ : acc_re, acc_im)
+    for (std::size_t s = 0; s < sub_dim; ++s) {
+      acc_re += rre[s] * sre[s] - rim[s] * sim[s];
+      acc_im += rre[s] * sim[s] + rim[s] * sre[s];
+    }
+    re[base | offsets[r]] = static_cast<T>(acc_re);
+    im[base | offsets[r]] = static_cast<T>(acc_im);
   }
 }
 
@@ -357,8 +231,7 @@ inline std::size_t panel_dense_scratch_len(std::size_t sub_dim, std::int64_t lan
 
 template <int kLanes, typename T>
 void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                       std::int64_t lanes_rt, std::vector<exec_compute_t<T>>& run_scratch,
-                       bool allow_parallel = true) {
+                       std::int64_t lanes_rt, std::vector<exec_compute_t<T>>& run_scratch) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
@@ -367,10 +240,13 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   // the generic path also keeps one accumulator row here.
   const std::size_t scratch_len = panel_dense_scratch_len(sub_dim, lanes);
   auto block_kernel = [&](std::int64_t bb, C* scratch) {
-    if constexpr (kLanes > 0) {
+    if constexpr (kLanes == 1) {
+      dense_block_one_lane(op, re, im, sub_dim, bb, scratch, scratch + sub_dim);
+    } else if constexpr (kLanes > 0) {
       C* sim = scratch + sub_dim * static_cast<std::size_t>(kLanes);
       // Fused windows are <= 3 qubits by default; wider payloads (a
-      // raised max_fuse_qubits) take the generic loop.
+      // raised max_fuse_qubits, the block-encoding unitary) take the
+      // generic loop.
       switch (op.num_targets) {
         case 1: panel_dense_block<kLanes, 2>(op, re, im, bb, scratch, sim); return;
         case 2: panel_dense_block<kLanes, 4>(op, re, im, bb, scratch, sim); return;
@@ -381,7 +257,7 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch);
     }
   };
-  if (allow_parallel && blocks * lanes >= kParallelBlockWork) {
+  if (blocks * lanes >= kParallelBlockWork) {
 #pragma omp parallel
     {
       std::vector<C> scratch(scratch_len);
@@ -396,7 +272,7 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 
 template <int kLanes, typename T>
 void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                          std::int64_t lanes_rt, bool allow_parallel = true) {
+                          std::int64_t lanes_rt) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::uint32_t k = op.num_targets;
@@ -419,7 +295,7 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       q[l] = static_cast<T>(dr * ai + di * ar);
     }
   };
-  if (allow_parallel && count * lanes >= kParallelAmpWork) {
+  if (count * lanes >= kParallelAmpWork) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
   } else {
@@ -429,11 +305,11 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 
 template <typename T>
 void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                       std::int64_t lanes, bool allow_parallel = true) {
+                       std::int64_t lanes) {
   using C = exec_compute_t<T>;
   const C pr = op.phase.real(), pi = op.phase.imag();
   const std::int64_t total = n * lanes;  // lanes are contiguous: one flat sweep
-  if (allow_parallel && total >= kParallelAmpWork) {
+  if (total >= kParallelAmpWork) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < total; ++i) {
       const C ar = static_cast<C>(re[i]), ai = static_cast<C>(im[i]);
@@ -453,19 +329,19 @@ void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 /// One op against a panel (the per-op body of PanelExecutor::run_impl).
 template <int kLanes, typename T>
 void panel_apply_op(const CompiledOp<T>& op, T* re, T* im, std::int64_t n, std::int64_t lanes,
-                    std::vector<exec_compute_t<T>>& dense_scratch, bool allow_parallel = true) {
+                    std::vector<exec_compute_t<T>>& dense_scratch) {
   switch (op.kind) {
     case OpKind::kApply1q:
-      panel_apply_1q<kLanes>(op, re, im, n, lanes, allow_parallel);
+      panel_apply_1q<kLanes>(op, re, im, n, lanes);
       break;
     case OpKind::kDense:
-      panel_apply_dense<kLanes>(op, re, im, n, lanes, dense_scratch, allow_parallel);
+      panel_apply_dense<kLanes>(op, re, im, n, lanes, dense_scratch);
       break;
     case OpKind::kDiagonal:
-      panel_apply_diagonal<kLanes>(op, re, im, n, lanes, allow_parallel);
+      panel_apply_diagonal<kLanes>(op, re, im, n, lanes);
       break;
     case OpKind::kGlobalPhase:
-      panel_apply_phase(op, re, im, n, lanes, allow_parallel);
+      panel_apply_phase(op, re, im, n, lanes);
       break;
   }
 }

@@ -1,6 +1,6 @@
 // Replays a compiled Program<T> against a StatePanel<T>: one sweep of the
-// gate stream updates every lane. The kernels mirror Executor<T>'s — same
-// compacted-index enumeration, same per-amplitude arithmetic — but the
+// gate stream updates every lane. This is the only replay path for clean
+// gate-level solves — a single right-hand side is a one-lane panel. The
 // innermost loop runs over the panel's lane dimension, which is unit
 // stride by construction. That turns the memory-bound per-RHS replay into
 // small matrix–panel products: each gate's matrix entries and index
@@ -12,16 +12,18 @@
 // handful of amplitudes, so the inner loops are short — a runtime trip
 // count leaves them as scalar loop skeletons, while a compile-time lane
 // count of 2/4/8/16 unrolls them into straight-line SIMD. `run` dispatches
-// on the panel's width (other widths take the generic runtime path).
+// on the panel's width (other widths take the generic runtime path); one
+// lane has its own dense kernel, which vectorizes across each window's
+// sub-dimension instead (see kernels.hpp).
 //
 // OpenMP parallelism splits over amplitude blocks (never over lanes — the
 // lane loop is the SIMD dimension); thresholds scale with the lane count
-// so a panel enters a parallel region at 1/B of the scalar executor's
-// register size. Like Executor, the replayer is stateless and reentrant.
+// so a B-lane panel enters a parallel region at 1/B of the one-lane
+// register size. The replayer is stateless and reentrant: one program can
+// be replayed from many threads onto distinct panels.
 //
-// The op bodies live in qsim/exec/kernels.hpp, shared with the pluggable
-// execution backends (qsim/exec/backend/): this class IS the "reference"
-// backend's panel path.
+// The op bodies live in qsim/exec/kernels.hpp; this class is what the
+// "reference" execution backend (qsim/exec/backend/) dispatches to.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,8 @@ class PanelExecutor {
 
  public:
   /// Apply every op of `program` to all lanes of `panel` in order. The
-  /// program may be narrower than the register (mirrors Executor::run).
+  /// program may be narrower than the register (mirrors
+  /// Statevector::apply(Circuit)).
   void run(const Program<T>& program, StatePanel<T>& panel) const {
     expects((std::size_t{1} << program.num_qubits) <= panel.dim(),
             "panel exec: program wider than register");

@@ -5,8 +5,6 @@
 #include <map>
 
 #include "common/contracts.hpp"
-#include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsim/synth/qft.hpp"
 
@@ -65,12 +63,10 @@ AmplitudeEstimationResult estimate_amplitude(const Circuit& v,
   AmplitudeEstimationResult out;
   out.clock_qubits = clock_qubits;
 
-  const exec::Executor<double> executor;
-
   // Reference value from the raw state (diagnostics only).
   {
     Statevector<double> ref(n);
-    executor.run(exec::compile<double>(v), ref);
+    ref.apply(v);
     out.exact = ref.probability_all_zero(marked_zero);
   }
 
@@ -89,10 +85,8 @@ AmplitudeEstimationResult estimate_amplitude(const Circuit& v,
   }
   append_iqft(qpe, clock);
 
-  // The QPE circuit repeats the controlled Grover iterate 2^m - 1 times;
-  // compiling fuses each repetition once and replays the flat program.
   Statevector<double> sv(width);
-  executor.run(exec::compile<double>(qpe), sv);
+  sv.apply(qpe);
 
   // Sample the clock register; convert the modal outcome y to
   // a = sin^2(pi y / 2^m).

@@ -13,9 +13,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/flops.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/exec/panel.hpp"
-#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 #include "stateprep/kp_tree.hpp"
 
@@ -144,13 +142,6 @@ std::shared_ptr<const QsvtSolverContext> prepare_qsvt_solver_shared(linalg::Matr
 
 namespace {
 
-/// The context's compiled program in precision T (nullptr if the context
-/// has no program set; specializes lazily from the shared IR otherwise).
-template <typename T>
-const qsim::exec::Program<T>* context_program(const QsvtSolverContext& ctx) {
-  return ctx.programs ? &ctx.programs->get<T>() : nullptr;
-}
-
 /// Map an optional override to the concrete tier a solve call runs at: the
 /// override wins, else the context's configured precision; kAdaptive is a
 /// schedule, not a tier, and defaults to its most accurate member.
@@ -197,49 +188,35 @@ void apply_shot_noise(linalg::Vector<double>& direction, std::uint64_t shots,
   }
 }
 
+bool noisy(const QsvtOptions& options) {
+  return options.noise.depolarizing_per_gate > 0.0 || options.noise.damping_per_gate > 0.0;
+}
+
+/// One noise trajectory through the gate interpreter: the only gate-level
+/// solve that does not replay the compiled program, because trajectories
+/// inject errors between gates — including those of the real SP(rhs)
+/// circuit, which the clean path replaces with a direct embedding.
 template <typename T>
-QsvtSolveOutcome run_gate_level(const QsvtSolverContext& ctx,
-                                const linalg::Vector<double>& rhs_unit) {
+QsvtSolveOutcome run_noisy_trajectory(const QsvtSolverContext& ctx,
+                                      const linalg::Vector<double>& rhs_unit) {
   const QsvtCircuit& qc = *ctx.circuit;
   const std::uint32_t width = qc.circuit.num_qubits();
   const std::size_t N = rhs_unit.size();
 
   qsim::Statevector<T> sv(width);
-  const bool noisy = ctx.options.noise.depolarizing_per_gate > 0.0 ||
-                     ctx.options.noise.damping_per_gate > 0.0;
-  std::uint64_t sp_gates = ctx.sp_circuit_gates;
-  if (noisy) {
-    // The noisy path needs the real SP(rhs) circuit: trajectories inject
-    // errors between its gates, which a direct embedding has none of.
-    const auto sp = stateprep::kp_state_preparation(rhs_unit);
-    sp_gates = sp.circuit.size();
-    // Mix the right-hand side into the seed so each refinement iteration
-    // draws an independent trajectory.
-    std::uint64_t h = ctx.options.seed;
-    for (double v : rhs_unit) {
-      std::uint64_t bits;
-      __builtin_memcpy(&bits, &v, 8);
-      h = (h ^ bits) * 0x100000001B3ull;
-    }
-    Xoshiro256 noise_rng(h);
-    apply_noisy(sv, sp.circuit, ctx.options.noise, noise_rng);
-    apply_noisy(sv, qc.circuit, ctx.options.noise, noise_rng);
-  } else {
-    // Clean path: the KP-tree circuit applied to |0…0> is exactly the
-    // rhs_unit embedding on the data qubits, so write those amplitudes
-    // directly instead of synthesizing and compiling SP(rhs) per solve,
-    // then replay the cached compiled program.
-    for (std::size_t i = 0; i < N; ++i) {
-      sv[i] = typename qsim::Statevector<T>::complex_type(static_cast<T>(rhs_unit[i]), T{});
-    }
-    if (const auto* program = context_program<T>(ctx)) {
-      // Replay through the context's execution backend (reference =
-      // exactly the old Executor<T> path, dispatched).
-      ctx.exec_backend->apply_program(*ctx.backend_handle, *program, sv);
-    } else {
-      sv.apply(qc.circuit);
-    }
+  const auto sp = stateprep::kp_state_preparation(rhs_unit);
+  const std::uint64_t circuit_gates = qc.circuit.size() + sp.circuit.size();
+  // Mix the right-hand side into the seed so each refinement iteration
+  // draws an independent trajectory.
+  std::uint64_t h = ctx.options.seed;
+  for (double v : rhs_unit) {
+    std::uint64_t bits;
+    __builtin_memcpy(&bits, &v, 8);
+    h = (h ^ bits) * 0x100000001B3ull;
   }
+  Xoshiro256 noise_rng(h);
+  apply_noisy(sv, sp.circuit, ctx.options.noise, noise_rng);
+  apply_noisy(sv, qc.circuit, ctx.options.noise, noise_rng);
 
   // Postselect: BE ancillas and signal at |0>, real-part qubit at |1>
   // (flip it so one postselect_zero covers everything).
@@ -248,8 +225,8 @@ QsvtSolveOutcome run_gate_level(const QsvtSolverContext& ctx,
   sv.apply(flip);
   auto zeros = qc.zero_postselect();
   zeros.push_back(qc.realpart_qubit);
-  if (noisy && sv.probability_all_zero(zeros) <= 1e-300) {
-    // A noise trajectory destroyed the postselection branch entirely: the
+  if (sv.probability_all_zero(zeros) <= 1e-300) {
+    // The trajectory destroyed the postselection branch entirely: the
     // hardware analogue is "all shots rejected". Report a no-op solve
     // (direction = rhs, zero success probability); the refinement loop
     // simply makes no progress this iteration.
@@ -257,30 +234,23 @@ QsvtSolveOutcome run_gate_level(const QsvtSolverContext& ctx,
     failed.direction = rhs_unit;
     failed.success_probability = 0.0;
     failed.be_calls = qc.be_calls;
-    failed.circuit_gates = qc.circuit.size() + sp_gates;
+    failed.circuit_gates = circuit_gates;
     return failed;
   }
   const double p_success = sv.postselect_zero(zeros);
 
+  // Trajectories inject Y/Z paulis, so the postselected state need not be
+  // real: the direction is its real-part projection.
   QsvtSolveOutcome out;
   out.direction.resize(N);
-  double imag_mass = 0.0;
-  for (std::size_t i = 0; i < N; ++i) {
-    out.direction[i] = static_cast<double>(sv[i].real());
-    imag_mass += static_cast<double>(sv[i].imag()) * static_cast<double>(sv[i].imag());
-  }
-  // For a real block-encoding the postselected state is real; anything
-  // else signals a convention bug. (Noise trajectories inject Y/Z paulis,
-  // so the check only applies to clean runs; the noisy direction is the
-  // real-part projection.)
-  ensures(noisy || imag_mass < 1e-6, "qsvt gate backend: unexpected imaginary amplitudes");
+  for (std::size_t i = 0; i < N; ++i) out.direction[i] = static_cast<double>(sv[i].real());
   const double n = linalg::nrm2(out.direction);
   expects(n > 0.0, "qsvt gate backend: zero-probability postselection");
   for (auto& x : out.direction) x /= n;
 
   out.success_probability = p_success;
   out.be_calls = qc.be_calls;
-  out.circuit_gates = qc.circuit.size() + sp_gates;
+  out.circuit_gates = circuit_gates;
   return out;
 }
 
@@ -319,11 +289,10 @@ QsvtSolveOutcome run_matrix_function(const QsvtSolverContext& ctx,
   return out;
 }
 
-/// Panel variant of run_gate_level (clean contexts only): every RHS is
-/// embedded into its own lane, the cached program is replayed once over
-/// the panel, and each lane is post-selected and extracted. Per lane this
-/// performs the same arithmetic as the scalar path, so results agree up
-/// to vectorization-dependent rounding.
+/// Every clean gate-level solve: each RHS is embedded into its own lane
+/// (the KP-tree circuit applied to |0…0> is exactly that embedding, so no
+/// SP(rhs) is synthesized per solve), the cached program is replayed once
+/// over the panel, and each lane is post-selected and extracted.
 template <typename T>
 std::vector<QsvtSolveOutcome> run_gate_level_panel(
     const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs) {
@@ -337,12 +306,10 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
     expects(rhs[lane]->size() == N, "qsvt panel: dimension mismatch");
     panel.load_lane_real(lane, normalized(*rhs[lane]));
   }
-  ctx.exec_backend->apply_program_panel(*ctx.backend_handle, *context_program<T>(ctx), panel);
+  ctx.exec_backend->apply_program_panel(*ctx.backend_handle, ctx.programs->get<T>(), panel);
 
   // Postselect every lane at once: BE ancillas and signal at |0>, the
-  // real-part qubit at |1>. (The scalar path X-flips that qubit so one
-  // postselect_zero covers everything; selecting |1> directly is the same
-  // projector without the flip sweep.)
+  // real-part qubit at |1>.
   const auto zeros = qc.zero_postselect();
   const auto probs = panel.postselect(zeros, {qc.realpart_qubit});
   const std::size_t rp_bit = std::size_t{1} << qc.realpart_qubit;
@@ -357,9 +324,11 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
       o.direction[i] = a.real();
       imag_mass += a.imag() * a.imag();
     }
-    // Half-precision storage rounds each amplitude at ~2^-11 relative, so
-    // residual imaginary mass sits orders of magnitude above the
-    // float/double tiers'; the convention check just needs a looser gate.
+    // For a real block-encoding the postselected state is real; anything
+    // else signals a convention bug. Half-precision storage rounds each
+    // amplitude at ~2^-11 relative, so its residual imaginary mass sits
+    // orders of magnitude above the float/double tiers' and the check
+    // needs a looser gate.
     constexpr double imag_tol = std::is_same_v<T, qsim::exec::f16> ? 1e-2 : 1e-6;
     ensures(imag_mass < imag_tol, "qsvt panel backend: unexpected imaginary amplitudes");
     const double n = linalg::nrm2(o.direction);
@@ -386,26 +355,7 @@ QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
 QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
                                       const linalg::Vector<double>& rhs, QpuPrecision tier) {
   expects(tier != QpuPrecision::kAdaptive, "qsvt solve: tier must be a concrete precision");
-  QsvtSolveOutcome out;
-  if (ctx.options.backend == Backend::kGateLevel) {
-    const bool noisy = ctx.options.noise.depolarizing_per_gate > 0.0 ||
-                       ctx.options.noise.damping_per_gate > 0.0;
-    if (tier == QpuPrecision::kHalf && !noisy && ctx.programs) {
-      // There is no Statevector<f16>: the half tier always runs the panel
-      // machinery, here as a one-lane panel (storage-narrow, float math).
-      out = std::move(run_gate_level_panel<qsim::exec::f16>(ctx, {&rhs})[0]);
-    } else if (tier == QpuPrecision::kDouble) {
-      out = run_gate_level<double>(ctx, normalized(rhs));
-    } else {
-      // kSingle — and the half tier's fallback when noise trajectories
-      // need the gate interpreter (which has no fp16 register either).
-      out = run_gate_level<float>(ctx, normalized(rhs));
-    }
-  } else {
-    out = run_matrix_function(ctx, normalized(rhs));
-  }
-  apply_shot_noise(out.direction, ctx.options.shots, ctx.options.seed);
-  return out;
+  return std::move(qsvt_solve_directions(ctx, {&rhs}, nullptr, tier)[0]);
 }
 
 std::vector<QsvtSolveOutcome> qsvt_solve_directions(
@@ -413,39 +363,37 @@ std::vector<QsvtSolveOutcome> qsvt_solve_directions(
     PanelExecStats* stats, std::optional<QpuPrecision> tier) {
   expects(!rhs.empty(), "qsvt_solve_directions: at least one right-hand side");
   const QpuPrecision t = resolve_tier(ctx, tier);
-  const bool noisy = ctx.options.noise.depolarizing_per_gate > 0.0 ||
-                     ctx.options.noise.damping_per_gate > 0.0;
-  // Half-tier solves have no scalar register, so even a singleton batch
-  // takes the (one-lane) panel path.
-  const bool panel_path = ctx.options.backend == Backend::kGateLevel && !noisy &&
-                          ctx.programs != nullptr &&
-                          (rhs.size() >= 2 || t == QpuPrecision::kHalf);
+  const bool gate_level = ctx.options.backend == Backend::kGateLevel;
   std::vector<QsvtSolveOutcome> out;
-  if (!panel_path) {
-    // Matrix-function backend, noise trajectories, and singleton batches
-    // keep the scalar path: trajectories need per-gate noise injection,
-    // and a one-lane panel is just a worse-laid-out statevector.
+  if (gate_level && !noisy(ctx.options)) {
+    switch (t) {
+      case QpuPrecision::kHalf:
+        out = run_gate_level_panel<qsim::exec::f16>(ctx, rhs);
+        break;
+      case QpuPrecision::kSingle:
+        out = run_gate_level_panel<float>(ctx, rhs);
+        break;
+      default:
+        out = run_gate_level_panel<double>(ctx, rhs);
+        break;
+    }
+    if (stats) {
+      stats->panels += 1;
+      stats->lanes += rhs.size();
+    }
+  } else {
+    // Noise trajectories (the interpreter has no fp16 register, so the
+    // half tier runs them in float) and the matrix-function backend solve
+    // one right-hand side at a time.
     out.reserve(rhs.size());
-    for (const auto* b : rhs) out.push_back(qsvt_solve_direction(ctx, *b, t));
-    return out;
+    for (const auto* b : rhs) {
+      const auto unit = normalized(*b);
+      out.push_back(!gate_level ? run_matrix_function(ctx, unit)
+                    : t == QpuPrecision::kDouble ? run_noisy_trajectory<double>(ctx, unit)
+                                                 : run_noisy_trajectory<float>(ctx, unit));
+    }
   }
-  switch (t) {
-    case QpuPrecision::kHalf:
-      out = run_gate_level_panel<qsim::exec::f16>(ctx, rhs);
-      break;
-    case QpuPrecision::kSingle:
-      out = run_gate_level_panel<float>(ctx, rhs);
-      break;
-    default:
-      out = run_gate_level_panel<double>(ctx, rhs);
-      break;
-  }
-  // Shot readout per lane, seeded exactly like the scalar path.
   for (auto& o : out) apply_shot_noise(o.direction, ctx.options.shots, ctx.options.seed);
-  if (stats) {
-    stats->panels += 1;
-    stats->lanes += rhs.size();
-  }
   return out;
 }
 

@@ -6,8 +6,11 @@
 // what sampling a quantum state yields; Remark 2).
 //
 // Two interchangeable backends:
-//  * kGateLevel — builds SP(rhs) + U_Phi as circuits and runs them on the
-//    statevector simulator (float or double), postselecting ancillas.
+//  * kGateLevel — builds U_Phi as a circuit, compiles it once, and replays
+//    it on every right-hand side embedded as SP(rhs)|0> (a StatePanel
+//    lane; half, single or double storage), postselecting ancillas. Noise
+//    trajectories instead run SP(rhs) + U_Phi through the gate
+//    interpreter.
 //  * kMatrixFunction — applies the same polynomial directly to the
 //    singular values (the ideal QSVT channel). Used for large kappa where
 //    the paper switches to estimated angles [32]; see DESIGN.md
@@ -35,9 +38,9 @@
 namespace mpqls::qsvt {
 
 enum class Backend { kGateLevel, kMatrixFunction };
-/// QPU statevector precision. The first two are fixed tiers (wire-encoded
+/// QPU statevector precision. The first three are fixed tiers (wire-encoded
 /// values — append only). kHalf stores amplitudes in binary16 and computes
-/// in float (the panel path; scalar half solves run a one-lane panel).
+/// in float.
 /// kAdaptive is not a tier: the refinement loop starts cheap and escalates
 /// half -> single -> double per lane as the residual contracts.
 enum class QpuPrecision { kSingle, kDouble, kHalf, kAdaptive };
@@ -67,8 +70,8 @@ struct QsvtOptions {
   qsim::NoiseModel noise = {};
   qsp::SymQspOptions qsp_options = {};
   /// Execution backend replaying the compiled program (a name in
-  /// qsim::exec::backend_registry(); "reference", "blocked", ...). Empty
-  /// selects the process default ("reference"); the service layer resolves
+  /// qsim::exec::backend_registry(), e.g. "reference"). Empty selects
+  /// the process default ("reference"); the service layer resolves
   /// empty to its configured default before preparing a context. Distinct
   /// from `backend` above, which picks gate-level vs matrix-function
   /// *simulation*; this picks the kernel implementation under gate-level.
@@ -101,9 +104,9 @@ struct QsvtSolverContext {
   std::shared_ptr<qsim::exec::ProgramSet> programs;
   /// The execution backend resolved from options.exec_backend (never null
   /// for gate-level contexts) and its per-context handle. The handle owns
-  /// backend state scoped to this context — e.g. the blocked backend's
-  /// per-program tile plans — and is internally synchronized, preserving
-  /// the shared-const concurrency contract.
+  /// backend state scoped to this context (e.g. per-program plans) and is
+  /// internally synchronized, preserving the shared-const concurrency
+  /// contract.
   const qsim::exec::ExecBackend* exec_backend = nullptr;
   std::shared_ptr<qsim::exec::BackendHandle> backend_handle;
   /// Gate count of SP(rhs) for this register size. The KP-tree circuit's
@@ -155,15 +158,15 @@ struct PanelExecStats {
   std::uint64_t lanes = 0;   ///< right-hand sides carried by those sweeps
 };
 
-/// Batched variant of `qsvt_solve_direction`: solve every right-hand side
-/// against the same context in ONE sweep of the cached compiled program.
-/// Each RHS is normalized and embedded directly into its own lane of a
-/// StatePanel (no per-solve state-prep circuit), the program is replayed
-/// once over the panel, and every lane is post-selected and extracted.
-/// Outcomes match the scalar path per RHS up to vectorization-dependent
-/// rounding. Falls back to sequential scalar solves — and leaves `stats`
-/// untouched — for the matrix-function backend, noisy contexts, and
-/// single-RHS batches, so callers may use it unconditionally.
+/// Batched variant of `qsvt_solve_direction`. Clean gate-level contexts
+/// solve every right-hand side in ONE sweep of the cached compiled
+/// program: each RHS is normalized and embedded directly into its own lane
+/// of a StatePanel (no per-solve state-prep circuit), the program is
+/// replayed once over the panel, and every lane is post-selected and
+/// extracted. Outcomes match one-lane solves per RHS up to
+/// vectorization-dependent rounding. The matrix-function backend and
+/// noisy contexts solve one right-hand side at a time and leave `stats`
+/// untouched.
 std::vector<QsvtSolveOutcome> qsvt_solve_directions(
     const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>> rhs,
     PanelExecStats* stats = nullptr,

@@ -90,7 +90,7 @@ Json options_to_json(const solver::QsvtIrOptions& o) {
   q["precision"] = precision_name(o.qsvt.precision);
   q["poly_method"] = poly_method_name(o.qsvt.poly_method);
   q["encoding"] = encoding_name(o.qsvt.encoding);
-  // The execution backend (registry name, e.g. "reference"/"blocked");
+  // The execution backend (registry name, e.g. "reference");
   // omitted while empty so default-routed requests stay byte-stable.
   if (!o.qsvt.exec_backend.empty()) q["exec_backend"] = o.qsvt.exec_backend;
   q["eps_l"] = o.qsvt.eps_l;

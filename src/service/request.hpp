@@ -77,7 +77,7 @@ struct SolveResult {
   double total_seconds = 0.0;     ///< whole-job wall clock
   std::vector<RhsResult> solves;  ///< one per request rhs, same order
   bool all_converged = false;
-  /// Panel-execution telemetry (0/0 when the job ran the scalar path):
+  /// Panel-execution telemetry (0/0 for noisy and matrix-function jobs):
   /// compiled-program panel sweeps and the RHS lanes they carried.
   std::uint64_t panels_executed = 0;
   std::uint64_t panel_lanes = 0;

@@ -122,25 +122,24 @@ SolveResult SolverService::solve(const SolveRequest& request) {
             "(submit to a larger shard group)");
   }
 
-  // Panel-eligible jobs group their right-hand sides into panels of
+  // Clean gate-level jobs group their right-hand sides into panels of
   // `panel_width` lanes: each group replays the cached program in one
-  // sweep (lockstep refinement, see solve_qsvt_ir_batch). Singleton jobs
-  // gain nothing from a one-lane panel; noise trajectories need per-gate
-  // injection the panel kernels cannot do; and shot-seeded readouts keep
-  // the scalar path so their per-solve RNG consumption stays identical to
-  // historical results. Those all fan out one task per RHS as before.
+  // sweep per round (lockstep refinement, see solve_qsvt_ir_batch), and
+  // the groups fan out across the solve pool — at width 1, one one-lane
+  // panel per RHS. Noise trajectories need per-gate injection the panel
+  // kernels cannot do, and the matrix-function backend has no program to
+  // replay: those fan out one task per RHS.
   const auto& qsvt_opts = options.qsvt;
   const bool noisy = qsvt_opts.noise.depolarizing_per_gate > 0.0 ||
                      qsvt_opts.noise.damping_per_gate > 0.0;
   // Adaptive-precision jobs run most of their sweeps on the half/single
   // tiers, whose lanes cost roughly half a double lane, so their panels
   // carry twice the configured width at the same per-sweep footprint.
-  const std::size_t panel_width = qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
-                                      ? options_.panel_width * 2
-                                      : options_.panel_width;
-  const bool panelize = panel_width >= 2 && req->rhs.size() >= 2 &&
-                        qsvt_opts.backend == qsvt::Backend::kGateLevel && !noisy &&
-                        qsvt_opts.shots == 0;
+  const std::size_t panel_width =
+      std::max<std::size_t>(1, qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
+                                   ? options_.panel_width * 2
+                                   : options_.panel_width);
+  const bool panelize = qsvt_opts.backend == qsvt::Backend::kGateLevel && !noisy;
 
   struct GroupOutcome {
     std::vector<RhsResult> results;

@@ -52,11 +52,11 @@ struct ServiceOptions {
   /// are dropped beyond this (a poll then sees 404, like any registry
   /// with finite memory).
   std::size_t retained_jobs = 1024;
-  /// RHS lanes per execution panel: a job's right-hand sides are grouped
-  /// into panels of this many lanes, each replaying the cached compiled
-  /// program in ONE sweep (see qsim/exec/panel.hpp). Small powers of two
-  /// vectorize best. Values < 2 disable panel execution; singleton,
-  /// noisy and shot-seeded jobs always fall back to the scalar path.
+  /// RHS lanes per execution panel: a clean gate-level job's right-hand
+  /// sides are grouped into panels of this many lanes, each replaying the
+  /// cached compiled program in ONE sweep (see qsim/exec/panel.hpp). Small
+  /// powers of two vectorize best; 1 (or 0) replays one one-lane panel
+  /// per RHS. Noisy and matrix-function jobs solve per RHS.
   std::size_t panel_width = 8;
   /// Byte budget of the content-addressed matrix store (uploads via
   /// PUT /v1/matrices that jobs reference as {"matrix_ref": ...}). The

@@ -38,7 +38,7 @@ linalg::Vector<double> residual_high_precision(const linalg::Matrix<double>& A,
 
 /// Static per-solve report header: context telemetry plus the Theorem
 /// III.1 iteration bound — identical for every right-hand side served
-/// from one context, shared by the scalar and batched loops.
+/// from one context.
 QsvtIrReport init_report(const qsvt::QsvtSolverContext& ctx, const QsvtIrOptions& options) {
   QsvtIrReport rep;
   rep.kappa = ctx.kappa_effective;
@@ -77,11 +77,10 @@ void record_setup_comm(const qsvt::QsvtSolverContext& ctx, std::size_t n, hybrid
 
 QsvtIrReport solve_qsvt_ir(const qsvt::QsvtSolverContext& ctx, const linalg::Vector<double>& b,
                            const QsvtIrOptions& options) {
-  // One-lane batch: Algorithm 2 lives once, in solve_qsvt_ir_batch. A
-  // singleton batch takes the scalar QSVT path inside
-  // qsvt_solve_directions, so this performs the historical scalar loop's
-  // arithmetic in the same order (bitwise — the service determinism
-  // tests pin it).
+  // One-lane batch: Algorithm 2 lives once, in solve_qsvt_ir_batch, and a
+  // singleton batch replays one-lane panels — the same arithmetic a
+  // service job at panel width 1 performs (bitwise; the service
+  // determinism tests pin it).
   return std::move(
       solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(&b, 1), options)[0]);
 }
@@ -126,7 +125,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
                        ctx.options.noise.damping_per_gate > 0.0;
     if (ctx.options.backend != qsvt::Backend::kGateLevel) {
       initial_tier = kTierDouble;
-    } else if (noisy || !ctx.programs) {
+    } else if (noisy) {
       initial_tier = kTierSingle;
     } else {
       initial_tier = kTierHalf;
@@ -139,7 +138,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
     }
   }
 
-  // Per-lane refinement state: each lane runs exactly the scalar loop's
+  // Per-lane refinement state: each lane runs exactly a one-RHS solve's
   // decisions (de-normalization, convergence and stagnation checks, comm
   // records); only the QSVT calls are batched across lanes.
   struct Lane {

@@ -151,10 +151,11 @@ struct BatchSolveStats {
 /// refinement round batches the still-active lanes' residuals into ONE
 /// panel replay of the context's compiled program (qsvt_solve_directions),
 /// then de-normalizes, updates and checks convergence per lane exactly as
-/// the scalar loop does. Lanes drop out as they converge or stagnate, so
+/// a one-RHS solve does. Lanes drop out as they converge or stagnate, so
 /// later panels may run below full occupancy. Reports are ordered like
 /// `bs` and agree with per-RHS solve_qsvt_ir up to the panel kernels'
-/// vectorization-dependent rounding (bitwise on the scalar fallback).
+/// lane-count-dependent rounding (bitwise for one-RHS batches and for the
+/// per-RHS matrix-function and noisy paths).
 std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx,
                                               std::span<const linalg::Vector<double>> bs,
                                               const QsvtIrOptions& options,

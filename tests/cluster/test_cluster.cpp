@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/delegate_backend.hpp"
 #include "common/json.hpp"
 #include "common/trace.hpp"
 #include "net/http_client.hpp"
@@ -393,39 +394,41 @@ void wait_for_backend_probes(net::HttpClient& client, std::size_t workers,
 }
 
 TEST(Cluster, BackendRoutingExcludesWorkersLackingTheCapability) {
+  const std::string delegate = test::register_delegate_backend();
   auto options = small_cluster(2);
-  // Worker 0 disables the blocked backend; worker 1 runs everything.
+  // Worker 0 enables only the reference backend; worker 1 runs everything.
   options.worker_backends = {{"reference"}, {}};
   TestCluster cluster(options);
   net::HttpClient client("127.0.0.1", cluster.port());
   wait_for_backend_probes(client, cluster.worker_count());
 
-  // Every blocked-backend job must land on worker 1, regardless of where
+  // Every delegate-backend job must land on worker 1, regardless of where
   // rendezvous affinity would have put it.
   std::vector<std::string> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(submit_ok(client, backend_job_json("blk-" + std::to_string(i), "blocked")));
+    ids.push_back(submit_ok(client, backend_job_json("dlg-" + std::to_string(i), delegate)));
   }
   for (const auto& id : ids) {
     EXPECT_EQ(poll_until_terminal(client, id).at("state").as_string(), "done");
   }
   const auto w0 = cluster.worker(0).service().cache_stats();
   const auto w1 = cluster.worker(1).service().cache_stats();
-  EXPECT_EQ(w0.hits + w0.misses, 0u) << "incapable worker saw a blocked-backend job";
+  EXPECT_EQ(w0.hits + w0.misses, 0u) << "incapable worker saw a delegate-backend job";
   EXPECT_GT(w1.hits + w1.misses, 0u);
   cluster.stop();
 }
 
 TEST(Cluster, AllWorkersLackingTheBackendAnswer503) {
+  const std::string delegate = test::register_delegate_backend();
   auto options = small_cluster(2);
   options.worker_backends = {{"reference"}, {"reference"}};
   TestCluster cluster(options);
   net::HttpClient client("127.0.0.1", cluster.port());
   wait_for_backend_probes(client, cluster.worker_count());
 
-  const auto response = client.post("/v1/jobs", backend_job_json("nowhere", "blocked"));
+  const auto response = client.post("/v1/jobs", backend_job_json("nowhere", delegate));
   EXPECT_EQ(response.status, 503) << response.body;
-  EXPECT_NE(response.body.find("blocked"), std::string::npos) << response.body;
+  EXPECT_NE(response.body.find(delegate), std::string::npos) << response.body;
 
   // The same job without the backend override still routes fine.
   const auto id = submit_ok(client, job_json(7, "default-ok"));

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/delegate_backend.hpp"
 #include "common/json.hpp"
 #include "common/trace.hpp"
 #include "net/http_client.hpp"
@@ -530,6 +531,7 @@ TEST(SolverDaemon, ListingIsBoundedNewestFirstWithQueryLimit) {
 }
 
 TEST(SolverDaemon, HealthzAdvertisesBackendCapabilities) {
+  const std::string delegate = test::register_delegate_backend();
   SolverDaemon daemon(loopback_options());
   daemon.start();
   HttpClient client("127.0.0.1", daemon.port());
@@ -546,11 +548,12 @@ TEST(SolverDaemon, HealthzAdvertisesBackendCapabilities) {
     EXPECT_GT(b.at("max_qubits").as_number(), 0.0);
   }
   EXPECT_TRUE(names.count("reference")) << "built-in reference backend missing";
-  EXPECT_TRUE(names.count("blocked")) << "built-in blocked backend missing";
+  EXPECT_TRUE(names.count(delegate)) << "registered delegate backend missing";
   daemon.drain(5000ms);
 }
 
 TEST(SolverDaemon, UnknownBackendIsRejectedSynchronouslyWith400) {
+  const std::string delegate = test::register_delegate_backend();
   SolverDaemon daemon(loopback_options());
   daemon.start();
   HttpClient client("127.0.0.1", daemon.port());
@@ -582,20 +585,20 @@ TEST(SolverDaemon, UnknownBackendIsRejectedSynchronouslyWith400) {
   EXPECT_NE(response.body.find("unknown execution backend"), std::string::npos)
       << response.body;
 
-  // A known backend sails through admission, runs the job on the blocked
-  // executor, and the per-backend metric families pick it up.
-  constexpr const char* kBlockedJob = R"({
-    "id": "blocked-backend",
-    "backend": "blocked",
+  // A known non-default backend sails through admission, runs the job,
+  // and the per-backend metric families pick it up.
+  const std::string delegate_job = R"({
+    "id": "delegate-backend",
+    "backend": ")" + delegate + R"(",
     "matrix": {"scenario": "poisson1d", "n": 8},
     "rhs": {"kind": "random", "count": 1, "seed": 3},
     "options": {"eps": 1e-9, "qsvt": {"backend": "gate", "eps_l": 1e-2}}
   })";
-  const auto status = poll_until_terminal(client, submit(client, kBlockedJob));
+  const auto status = poll_until_terminal(client, submit(client, delegate_job));
   EXPECT_EQ(status.at("state").as_string(), "done") << status.dump();
 
   const std::string metrics = client.get("/v1/metrics").body;
-  EXPECT_NE(metrics.find("mpqls_backend_jobs_total{backend=\"blocked\"} 1"),
+  EXPECT_NE(metrics.find("mpqls_backend_jobs_total{backend=\"" + delegate + "\"} 1"),
             std::string::npos)
       << metrics;
   EXPECT_NE(metrics.find("mpqls_backend_default_info{backend=\"reference\"} 1"),

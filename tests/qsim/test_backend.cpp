@@ -1,183 +1,31 @@
-// Execution-backend tests: registry contract (built-ins, lookup, default),
-// and reference-vs-blocked parity. The blocked backend remaps ops into
-// tile index space and replays them through the same shared kernels, so
-// its results must match the reference backend to floating-point noise on
-// every precision tier, for scalar registers and ragged-width panels, for
-// programs narrower than the register, and across the barrier path (ops
-// too wide for any tile).
+// Execution-backend tests: registry contract (built-in, lookup, default,
+// re-registration), handle lifecycle, and the "reference" backend's
+// bit-identity to direct PanelExecutor replay on every storage tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "../support/delegate_backend.hpp"
+#include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
-#include "qsim/circuit.hpp"
 #include "qsim/exec/backend/backend.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/panel.hpp"
-#include "qsim/exec/program.hpp"
-#include "qsim/statevector.hpp"
+#include "qsim/exec/panel_executor.hpp"
 
 namespace {
 
 using namespace mpqls;
-using c64 = qsim::c64;
 namespace exec = qsim::exec;
 
-// Tiny tiles so blocking engages at unit-test register sizes (the default
-// 128 KiB budget would pass small registers through untouched).
-exec::BlockedBackendOptions tiny_tiles() {
-  exec::BlockedBackendOptions opt;
-  opt.tile_bytes = std::size_t{1} << 10;
-  opt.max_high_bits = 2;
-  opt.min_run_ops = 2;
-  return opt;
-}
-
-linalg::Matrix<c64> random_unitary(Xoshiro256& rng, std::size_t dim) {
-  linalg::Matrix<c64> m(dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) m(i, j) = c64(rng.normal(), rng.normal());
-  }
-  for (std::size_t c = 0; c < dim; ++c) {
-    for (std::size_t p = 0; p < c; ++p) {
-      c64 overlap{};
-      for (std::size_t r = 0; r < dim; ++r) overlap += std::conj(m(r, p)) * m(r, c);
-      for (std::size_t r = 0; r < dim; ++r) m(r, c) -= overlap * m(r, p);
-    }
-    double nrm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) nrm += std::norm(m(r, c));
-    nrm = std::sqrt(nrm);
-    for (std::size_t r = 0; r < dim; ++r) m(r, c) /= nrm;
-  }
-  return m;
-}
-
-std::vector<std::uint32_t> pick_qubits(Xoshiro256& rng, std::uint32_t n, std::size_t count,
-                                       std::uint64_t& used) {
-  std::vector<std::uint32_t> out;
-  while (out.size() < count) {
-    const auto q = static_cast<std::uint32_t>(rng.uniform_index(n));
-    if (used & (std::uint64_t{1} << q)) continue;
-    used |= std::uint64_t{1} << q;
-    out.push_back(q);
-  }
-  return out;
-}
-
-// Gate soup biased toward the QSVT shape (many controlled 1q ops, some
-// dense/diagonal payloads, occasional wide unitaries that must take the
-// blocked backend's barrier path).
-qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates,
-                             bool with_wide_ops) {
-  qsim::Circuit c(n);
-  const qsim::GateKind rot[] = {qsim::GateKind::kRx, qsim::GateKind::kRy, qsim::GateKind::kRz,
-                                qsim::GateKind::kPhase};
-  for (std::size_t i = 0; i < gates; ++i) {
-    qsim::Gate g;
-    std::uint64_t used = 0;
-    const auto kind_pick = rng.uniform_index(with_wide_ops ? 5 : 4);
-    switch (kind_pick) {
-      case 0:
-        g.kind = qsim::GateKind::kH;
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 1:
-        g.kind = rot[rng.uniform_index(4)];
-        g.param = rng.uniform(-3.0, 3.0);
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 2: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(2, n));
-        g.kind = qsim::GateKind::kUnitary;
-        g.targets = pick_qubits(rng, n, k, used);
-        g.matrix =
-            std::make_shared<const linalg::Matrix<c64>>(random_unitary(rng, std::size_t{1} << k));
-        break;
-      }
-      case 3: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(2, n));
-        g.kind = qsim::GateKind::kDiagonal;
-        g.targets = pick_qubits(rng, n, k, used);
-        std::vector<c64> d(std::size_t{1} << k);
-        for (auto& v : d) v = std::exp(c64(0, rng.uniform(-3.0, 3.0)));
-        g.diagonal = std::make_shared<const std::vector<c64>>(std::move(d));
-        break;
-      }
-      default: {
-        // Wider than the tiny-tile high-bit budget: exercises barriers.
-        const std::size_t k = std::min<std::uint32_t>(4, n);
-        g.kind = qsim::GateKind::kUnitary;
-        g.targets = pick_qubits(rng, n, k, used);
-        g.matrix =
-            std::make_shared<const linalg::Matrix<c64>>(random_unitary(rng, std::size_t{1} << k));
-        break;
-      }
-    }
-    const std::size_t n_ctrl = rng.uniform_index(std::min<std::uint64_t>(
-        3, n - static_cast<std::uint32_t>(g.targets.size()) + 1));
-    for (std::size_t k = 0; k < n_ctrl; ++k) {
-      const auto q = pick_qubits(rng, n, 1, used)[0];
-      if (rng.uniform() < 0.5) {
-        g.controls.push_back(q);
-      } else {
-        g.neg_controls.push_back(q);
-      }
-    }
-    c.push(std::move(g));
-  }
-  return c;
-}
-
-template <typename T>
-void randomize(qsim::Statevector<T>& sv, Xoshiro256& rng) {
-  for (std::size_t i = 0; i < sv.dim(); ++i) {
-    sv[i] = std::complex<T>(static_cast<T>(rng.uniform(-1.0, 1.0)),
-                            static_cast<T>(rng.uniform(-1.0, 1.0)));
-  }
-  sv.normalize();
-}
-
-template <typename T>
-void randomize(exec::StatePanel<T>& panel, Xoshiro256& rng) {
-  for (std::size_t i = 0; i < panel.dim(); ++i) {
-    for (std::size_t l = 0; l < panel.lanes(); ++l) {
-      panel.set_amp(i, l, {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
-    }
-  }
-}
-
-template <typename T>
-double max_abs_diff(const qsim::Statevector<T>& a, const qsim::Statevector<T>& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.dim(); ++i) {
-    worst = std::max(worst, std::abs(std::complex<double>(a[i].real(), a[i].imag()) -
-                                     std::complex<double>(b[i].real(), b[i].imag())));
-  }
-  return worst;
-}
-
-template <typename T>
-double max_abs_diff(const exec::StatePanel<T>& a, const exec::StatePanel<T>& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.dim(); ++i) {
-    for (std::size_t l = 0; l < a.lanes(); ++l) {
-      worst = std::max(worst, std::abs(a.amp(i, l) - b.amp(i, l)));
-    }
-  }
-  return worst;
-}
-
-TEST(BackendRegistry, BuiltinsRegisteredAndDiscoverable) {
+TEST(BackendRegistry, BuiltinRegisteredAndDiscoverable) {
   auto& reg = exec::backend_registry();
   const auto names = reg.names();
-  ASSERT_GE(names.size(), 2u);
+  ASSERT_GE(names.size(), 1u);
   EXPECT_NE(std::find(names.begin(), names.end(), "reference"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "blocked"), names.end());
 
   const exec::ExecBackend* ref = exec::find_backend("reference");
   ASSERT_NE(ref, nullptr);
@@ -196,177 +44,62 @@ TEST(BackendRegistry, BuiltinsRegisteredAndDiscoverable) {
   EXPECT_EQ(reg.list().size(), names.size());
 }
 
-TEST(BackendRegistry, HandlesAreIndependentAndWorkspaceReported) {
-  const exec::ExecBackend* blocked = exec::find_backend("blocked");
-  ASSERT_NE(blocked, nullptr);
-  auto h1 = blocked->create_handle();
-  auto h2 = blocked->create_handle();
+TEST(BackendRegistry, RegisteredBackendsAreFoundByName) {
+  const std::string name = test::register_delegate_backend("registry-test");
+  const exec::ExecBackend* delegate = exec::find_backend(name);
+  ASSERT_NE(delegate, nullptr);
+  EXPECT_EQ(delegate->capabilities().name, name);
+  // Re-registering a name replaces the entry without invalidating the
+  // pointer handed out before.
+  test::register_delegate_backend(name);
+  EXPECT_EQ(delegate->capabilities().name, name);
+  const auto names = exec::backend_registry().names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), name), 1);
+}
+
+TEST(BackendRegistry, HandlesAreIndependent) {
+  const exec::ExecBackend& ref = exec::default_backend();
+  auto h1 = ref.create_handle();
+  auto h2 = ref.create_handle();
   ASSERT_NE(h1, nullptr);
   ASSERT_NE(h2, nullptr);
   EXPECT_NE(h1.get(), h2.get());
-  EXPECT_GT(blocked->workspace_bytes(20), 0u);
-  EXPECT_GT(exec::default_backend().workspace_bytes(20), 0u);
 }
 
-/// MPQLS_BLOCKED_* overrides must parse strictly: a malformed or
-/// out-of-range value keeps the compiled-in default (with a stderr
-/// warning), it never produces a degenerate tile geometry. tile_bytes is
-/// observable through workspace_bytes() == 2 * tile_bytes.
-TEST(BackendRegistry, EnvTuningRejectsGarbageAndKeepsDefaults) {
-  exec::BlockedBackendOptions defaults;
-  const auto tile_bytes_of = [] {
-    return exec::make_blocked_backend()->workspace_bytes(20) / 2;
-  };
-
-  ::setenv("MPQLS_BLOCKED_TILE_BYTES", "65536", 1);
-  EXPECT_EQ(tile_bytes_of(), 65536u);
-
-  const char* bad[] = {"banana", "64k", "", "-4096", "1e6", "12 ", "999999999999999999999"};
-  for (const char* value : bad) {
-    ::setenv("MPQLS_BLOCKED_TILE_BYTES", value, 1);
-    EXPECT_EQ(tile_bytes_of(), defaults.tile_bytes) << "value \"" << value << "\"";
+template <typename T>
+void reference_is_panel_executor(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const auto program = exec::compile<T>(test::random_circuit(rng, 7, 80));
+  for (const std::size_t lanes : {1u, 3u, 8u}) {
+    exec::StatePanel<T> direct(7, lanes);
+    for (std::size_t i = 0; i < direct.dim(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        direct.set_amp(i, l, {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+      }
+    }
+    exec::StatePanel<T> dispatched = direct;
+    exec::PanelExecutor<T>().run(program, direct);
+    const exec::ExecBackend& ref = exec::default_backend();
+    auto handle = ref.create_handle();
+    ref.apply_program_panel(*handle, program, dispatched);
+    for (std::size_t i = 0; i < direct.dim(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        EXPECT_EQ(direct.amp(i, l), dispatched.amp(i, l)) << "lanes=" << lanes << " amp " << i;
+      }
+    }
   }
-  // Out of range (below the 1 KiB floor / above the 4 GiB ceiling).
-  ::setenv("MPQLS_BLOCKED_TILE_BYTES", "512", 1);
-  EXPECT_EQ(tile_bytes_of(), defaults.tile_bytes);
-  ::setenv("MPQLS_BLOCKED_TILE_BYTES", "8589934592", 1);
-  EXPECT_EQ(tile_bytes_of(), defaults.tile_bytes);
-  ::unsetenv("MPQLS_BLOCKED_TILE_BYTES");
-
-  // The other two knobs share the parser; spot-check their ranges by
-  // replay parity (a rejected value must leave a working backend).
-  ::setenv("MPQLS_BLOCKED_MAX_HIGH_BITS", "nope", 1);
-  ::setenv("MPQLS_BLOCKED_MIN_RUN_OPS", "0", 1);
-  auto backend = exec::make_blocked_backend(tiny_tiles());
-  ::unsetenv("MPQLS_BLOCKED_MAX_HIGH_BITS");
-  ::unsetenv("MPQLS_BLOCKED_MIN_RUN_OPS");
-  ASSERT_NE(backend, nullptr);
-  EXPECT_GT(backend->workspace_bytes(10), 0u);
 }
 
-template <typename T>
-void scalar_parity(std::uint32_t width, std::size_t gates, double tol, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  const auto circuit = random_circuit(rng, width, gates, /*with_wide_ops=*/true);
-  const auto program = exec::compile<T>(circuit);
-
-  qsim::Statevector<T> ref_sv(width);
-  randomize(ref_sv, rng);
-  qsim::Statevector<T> blk_sv = ref_sv;
-
-  const exec::ExecBackend& ref = exec::default_backend();
-  auto ref_handle = ref.create_handle();
-  ref.apply_program(*ref_handle, program, ref_sv);
-
-  auto blocked = exec::make_blocked_backend(tiny_tiles());
-  auto blk_handle = blocked->create_handle();
-  blocked->apply_program(*blk_handle, program, blk_sv);
-
-  EXPECT_LT(max_abs_diff(ref_sv, blk_sv), tol) << "width=" << width;
+TEST(ReferenceBackend, BitIdenticalToPanelExecutorDouble) {
+  reference_is_panel_executor<double>(7);
 }
 
-TEST(BackendParity, ScalarDouble) {
-  for (std::uint32_t width : {6u, 9u, 11u}) scalar_parity<double>(width, 120, 1e-12, 7 + width);
+TEST(ReferenceBackend, BitIdenticalToPanelExecutorFloat) {
+  reference_is_panel_executor<float>(8);
 }
 
-TEST(BackendParity, ScalarFloat) {
-  for (std::uint32_t width : {6u, 9u, 11u}) scalar_parity<float>(width, 120, 1e-4, 11 + width);
-}
-
-TEST(BackendParity, RegistryBlockedPassthroughOnSmallRegisters) {
-  // The registry's default-tuned blocked backend passes small registers
-  // through: still must match reference exactly.
-  Xoshiro256 rng(99);
-  const auto circuit = random_circuit(rng, 6, 80, true);
-  const auto program = exec::compile<double>(circuit);
-  qsim::Statevector<double> a(6), b(6);
-  randomize(a, rng);
-  b = a;
-  auto ref_handle = exec::default_backend().create_handle();
-  exec::default_backend().apply_program(*ref_handle, program, a);
-  const exec::ExecBackend* blocked = exec::find_backend("blocked");
-  auto h = blocked->create_handle();
-  blocked->apply_program(*h, program, b);
-  EXPECT_LT(max_abs_diff(a, b), 1e-13);
-}
-
-TEST(BackendParity, ProgramNarrowerThanRegister) {
-  Xoshiro256 rng(123);
-  const auto circuit = random_circuit(rng, 6, 60, false);
-  const auto program = exec::compile<double>(circuit);
-  qsim::Statevector<double> a(10), b(10);
-  randomize(a, rng);
-  b = a;
-  auto ref_handle = exec::default_backend().create_handle();
-  exec::default_backend().apply_program(*ref_handle, program, a);
-  auto blocked = exec::make_blocked_backend(tiny_tiles());
-  auto h = blocked->create_handle();
-  blocked->apply_program(*h, program, b);
-  EXPECT_LT(max_abs_diff(a, b), 1e-12);
-}
-
-template <typename T>
-void panel_parity(std::uint32_t width, std::size_t lanes, double tol, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  const auto circuit = random_circuit(rng, width, 100, /*with_wide_ops=*/true);
-  const auto ir = exec::lower_and_fuse(circuit);
-  const auto program = exec::specialize<T>(ir);
-
-  exec::StatePanel<T> ref_panel(width, lanes);
-  randomize(ref_panel, rng);
-  exec::StatePanel<T> blk_panel = ref_panel;
-
-  auto ref_handle = exec::default_backend().create_handle();
-  exec::default_backend().apply_program_panel(*ref_handle, program, ref_panel);
-
-  auto blocked = exec::make_blocked_backend(tiny_tiles());
-  auto blk_handle = blocked->create_handle();
-  blocked->apply_program_panel(*blk_handle, program, blk_panel);
-
-  EXPECT_LT(max_abs_diff(ref_panel, blk_panel), tol)
-      << "width=" << width << " lanes=" << lanes;
-}
-
-TEST(BackendParity, PanelDoubleAcrossWidths) {
-  for (std::size_t lanes : {1u, 2u, 4u, 8u, 16u}) panel_parity<double>(9, lanes, 1e-12, lanes);
-}
-
-TEST(BackendParity, PanelFloatRaggedWidths) {
-  // Ragged lane counts take the generic runtime-width kernels.
-  for (std::size_t lanes : {3u, 5u, 7u}) panel_parity<float>(9, lanes, 1e-4, 31 + lanes);
-}
-
-TEST(BackendParity, PanelHalfTier) {
-  // f16 storage rounds identically through both backends (same kernels,
-  // same order), so the agreement gate can stay far below the ~2^-11
-  // storage quantum.
-  for (std::size_t lanes : {1u, 4u, 8u}) panel_parity<exec::f16>(8, lanes, 2e-3, 57 + lanes);
-}
-
-TEST(BackendParity, PlanCacheIsStablePerProgram) {
-  // Two replays through one handle must agree with a fresh handle's replay
-  // (plan caching must not mutate results).
-  Xoshiro256 rng(4242);
-  const auto circuit = random_circuit(rng, 10, 150, true);
-  const auto program = exec::compile<double>(circuit);
-  auto blocked = exec::make_blocked_backend(tiny_tiles());
-  auto warm = blocked->create_handle();
-  qsim::Statevector<double> first(10);
-  randomize(first, rng);
-  qsim::Statevector<double> second = first;
-
-  blocked->apply_program(*warm, program, first);   // builds the plan
-  auto fresh = blocked->create_handle();
-  blocked->apply_program(*fresh, program, second);
-  EXPECT_EQ(max_abs_diff(first, second), 0.0);
-
-  // And a second replay through the cached plan stays deterministic.
-  qsim::Statevector<double> third(10);
-  qsim::Statevector<double> fourth(10);
-  for (std::size_t i = 0; i < third.dim(); ++i) fourth[i] = third[i];
-  blocked->apply_program(*warm, program, third);
-  blocked->apply_program(*fresh, program, fourth);
-  EXPECT_EQ(max_abs_diff(third, fourth), 0.0);
+TEST(ReferenceBackend, BitIdenticalToPanelExecutorHalf) {
+  reference_is_panel_executor<exec::f16>(9);
 }
 
 }  // namespace

@@ -1,134 +1,25 @@
 // Fusion-correctness tests for the execution engine: randomized circuits
 // (controls, negative controls, adjoints, diagonal and dense multi-qubit
-// payloads, global phases, swaps) executed through compile+Executor must
-// agree with gate-by-gate interpretation within precision tolerance, in
-// both float and double.
+// payloads, global phases, swaps) compiled and replayed on a one-lane
+// panel must agree with gate-by-gate interpretation within precision
+// tolerance, in both float and double.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <vector>
 
+#include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/statevector.hpp"
 
 namespace {
 
 using namespace mpqls;
-using c64 = qsim::c64;
-
-// Random unitary: Gram-Schmidt on a complex Gaussian matrix.
-linalg::Matrix<c64> random_unitary(Xoshiro256& rng, std::size_t dim) {
-  linalg::Matrix<c64> m(dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) m(i, j) = c64(rng.normal(), rng.normal());
-  }
-  for (std::size_t c = 0; c < dim; ++c) {
-    for (std::size_t p = 0; p < c; ++p) {
-      c64 overlap{};
-      for (std::size_t r = 0; r < dim; ++r) overlap += std::conj(m(r, p)) * m(r, c);
-      for (std::size_t r = 0; r < dim; ++r) m(r, c) -= overlap * m(r, p);
-    }
-    double nrm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) nrm += std::norm(m(r, c));
-    nrm = std::sqrt(nrm);
-    for (std::size_t r = 0; r < dim; ++r) m(r, c) /= nrm;
-  }
-  return m;
-}
-
-// Pick `count` distinct qubits from [0, n), excluding `used` bits.
-std::vector<std::uint32_t> pick_qubits(Xoshiro256& rng, std::uint32_t n, std::size_t count,
-                                       std::uint64_t& used) {
-  std::vector<std::uint32_t> out;
-  while (out.size() < count) {
-    const auto q = static_cast<std::uint32_t>(rng.uniform_index(n));
-    if (used & (std::uint64_t{1} << q)) continue;
-    used |= std::uint64_t{1} << q;
-    out.push_back(q);
-  }
-  return out;
-}
-
-// A random gate soup hitting every lowering path: named 1q gates,
-// rotations, phases, global phases, swaps, dense unitaries, diagonals —
-// each with random adjoint flags and random positive/negative controls.
-qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates) {
-  qsim::Circuit c(n);
-  const qsim::GateKind named[] = {qsim::GateKind::kX,  qsim::GateKind::kY, qsim::GateKind::kZ,
-                                  qsim::GateKind::kH,  qsim::GateKind::kS, qsim::GateKind::kSdg,
-                                  qsim::GateKind::kT,  qsim::GateKind::kTdg};
-  const qsim::GateKind rot[] = {qsim::GateKind::kRx, qsim::GateKind::kRy, qsim::GateKind::kRz,
-                                qsim::GateKind::kPhase};
-  for (std::size_t i = 0; i < gates; ++i) {
-    qsim::Gate g;
-    g.adjoint = rng.uniform() < 0.3;
-    std::uint64_t used = 0;
-    const auto kind_pick = rng.uniform_index(6);
-    switch (kind_pick) {
-      case 0:
-        g.kind = named[rng.uniform_index(8)];
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 1:
-        g.kind = rot[rng.uniform_index(4)];
-        g.param = rng.uniform(-3.0, 3.0);
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 2:
-        g.kind = qsim::GateKind::kGlobalPhase;
-        g.param = rng.uniform(-3.0, 3.0);
-        break;
-      case 3: {
-        if (n < 2) continue;
-        g.kind = qsim::GateKind::kSwap;
-        g.targets = pick_qubits(rng, n, 2, used);
-        break;
-      }
-      case 4: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(3, n));
-        g.kind = qsim::GateKind::kUnitary;
-        g.targets = pick_qubits(rng, n, k, used);
-        g.matrix = std::make_shared<const linalg::Matrix<c64>>(
-            random_unitary(rng, std::size_t{1} << k));
-        break;
-      }
-      default: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(2, n));
-        g.kind = qsim::GateKind::kDiagonal;
-        g.targets = pick_qubits(rng, n, k, used);
-        std::vector<c64> d(std::size_t{1} << k);
-        for (auto& v : d) v = std::exp(c64(0, rng.uniform(-3.0, 3.0)));
-        g.diagonal = std::make_shared<const std::vector<c64>>(std::move(d));
-        break;
-      }
-    }
-    // Random controls on whatever qubits remain. Global phases stay
-    // uncontrolled here: the interpreter ignores controls on kGlobalPhase
-    // (Circuit::controlled rewrites them to phase gates before they reach
-    // it), so a raw controlled global phase has no interpreter reference.
-    // The compiler's lowering of that shape is covered by
-    // ControlledGlobalPhaseLowering below.
-    const std::uint64_t free_qubits =
-        g.kind == qsim::GateKind::kGlobalPhase
-            ? 0
-            : n - static_cast<std::uint32_t>(g.targets.size());
-    const std::size_t n_ctrl = rng.uniform_index(std::min<std::uint64_t>(3, free_qubits + 1));
-    for (std::size_t k = 0; k < n_ctrl; ++k) {
-      const auto q = pick_qubits(rng, n, 1, used)[0];
-      if (rng.uniform() < 0.5) {
-        g.controls.push_back(q);
-      } else {
-        g.neg_controls.push_back(q);
-      }
-    }
-    c.push(std::move(g));
-  }
-  return c;
-}
+using test::random_circuit;
+using test::replay_one_lane;
 
 // Spread amplitude over every basis state so controlled branches are all
 // exercised, then compare compiled vs interpreted execution.
@@ -142,7 +33,7 @@ double compiled_vs_interpreted(const qsim::Circuit& c, std::uint32_t width,
   qsim::Statevector<T> compiled = interpreted;
 
   interpreted.apply(c);
-  qsim::exec::Executor<T>().run(qsim::exec::compile<T>(c, options), compiled);
+  replay_one_lane(qsim::exec::compile<T>(c, options), compiled);
 
   double worst = 0.0;
   for (std::size_t i = 0; i < interpreted.dim(); ++i) {
@@ -259,7 +150,7 @@ TEST(Exec, ControlledGlobalPhaseLowering) {
   interpreted.apply(spread);
   qsim::Statevector<double> compiled = interpreted;
   interpreted.apply(c_ref);
-  qsim::exec::Executor<double>().run(qsim::exec::compile<double>(c), compiled);
+  replay_one_lane(qsim::exec::compile<double>(c), compiled);
   for (std::size_t i = 0; i < interpreted.dim(); ++i) {
     EXPECT_NEAR(compiled[i].real(), interpreted[i].real(), 1e-14);
     EXPECT_NEAR(compiled[i].imag(), interpreted[i].imag(), 1e-14);
@@ -273,7 +164,7 @@ TEST(Exec, PostCompileMeasurementMatchesInterpreter) {
   const auto c = random_circuit(rng, 5, 30);
   qsim::Statevector<double> a(5), b(5);
   a.apply(c);
-  qsim::exec::Executor<double>().run(qsim::exec::compile<double>(c), b);
+  replay_one_lane(qsim::exec::compile<double>(c), b);
   EXPECT_NEAR(a.norm(), b.norm(), 1e-12);
   EXPECT_NEAR(a.probability(2, 1), b.probability(2, 1), 1e-12);
   EXPECT_NEAR(a.probability_all_zero({0, 3}), b.probability_all_zero({0, 3}), 1e-12);

@@ -1,200 +1,170 @@
-// Panel execution vs the scalar executor: replaying one compiled program
-// over a StatePanel must reproduce, lane by lane, what Executor<T> does to
-// the same initial states — for randomized circuits hitting every kernel
-// (1q, dense, diagonal, global phase, controls and negative controls), in
-// float and double, for ragged lane counts that are not powers of two,
-// and for the panel-wide reductions (norms, postselection) against their
-// Statevector counterparts.
+// Panel execution vs the gate interpreter: replaying one compiled program
+// over a StatePanel must reproduce, lane by lane, what gate-by-gate
+// interpretation does to the same initial states. Covered: one-lane
+// panels (the single-RHS path, with its own dense kernel), a ragged and a
+// templated multi-lane width, all three storage tiers, fused windows up to
+// 5 qubits, a dense-embedding QSVT program (whose block-encoding unitary
+// is one 5-target dense op), and the panel-wide reductions (norms,
+// postselection) against their Statevector counterparts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <type_traits>
 #include <vector>
 
+#include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
+#include "linalg/random_matrix.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
+#include "qsvt/solve.hpp"
 
 namespace {
 
 using namespace mpqls;
-using c64 = qsim::c64;
+using test::random_circuit;
+using test::random_state;
 
-// Pick `count` distinct qubits from [0, n), excluding `used` bits.
-std::vector<std::uint32_t> pick_qubits(Xoshiro256& rng, std::uint32_t n, std::size_t count,
-                                       std::uint64_t& used) {
-  std::vector<std::uint32_t> out;
-  while (out.size() < count) {
-    const auto q = static_cast<std::uint32_t>(rng.uniform_index(n));
-    if (used & (std::uint64_t{1} << q)) continue;
-    used |= std::uint64_t{1} << q;
-    out.push_back(q);
-  }
-  return out;
+constexpr std::size_t kLaneCounts[] = {1, 3, 8};
+
+// Agreement bounds against the double-precision interpreter. The f16 tier
+// rounds every stored amplitude to 11 significant bits (~5e-4 relative)
+// after each op; its worst case here is ~2e-3.
+template <typename T>
+constexpr double tolerance() {
+  if constexpr (std::is_same_v<T, double>) return 1e-11;
+  if constexpr (std::is_same_v<T, float>) return 1e-3;
+  return 1e-2;
 }
 
-// Random unitary: Gram-Schmidt on a complex Gaussian matrix.
-linalg::Matrix<c64> random_unitary(Xoshiro256& rng, std::size_t dim) {
-  linalg::Matrix<c64> m(dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) m(i, j) = c64(rng.normal(), rng.normal());
-  }
-  for (std::size_t c = 0; c < dim; ++c) {
-    for (std::size_t p = 0; p < c; ++p) {
-      c64 overlap{};
-      for (std::size_t r = 0; r < dim; ++r) overlap += std::conj(m(r, p)) * m(r, c);
-      for (std::size_t r = 0; r < dim; ++r) m(r, c) -= overlap * m(r, p);
-    }
-    double nrm = 0.0;
-    for (std::size_t r = 0; r < dim; ++r) nrm += std::norm(m(r, c));
-    nrm = std::sqrt(nrm);
-    for (std::size_t r = 0; r < dim; ++r) m(r, c) /= nrm;
-  }
-  return m;
-}
-
-// Gate soup hitting every compiled kernel, with random (negative)
-// controls — the panel kernels share the executor's index enumeration,
-// so control handling is what this must not get wrong.
-qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates) {
-  qsim::Circuit c(n);
-  for (std::size_t i = 0; i < gates; ++i) {
-    qsim::Gate g;
-    g.adjoint = rng.uniform() < 0.3;
-    std::uint64_t used = 0;
-    switch (rng.uniform_index(5)) {
-      case 0:
-        g.kind = qsim::GateKind::kH;
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 1:
-        g.kind = qsim::GateKind::kRy;
-        g.param = rng.uniform(-3.0, 3.0);
-        g.targets = pick_qubits(rng, n, 1, used);
-        break;
-      case 2:
-        g.kind = qsim::GateKind::kGlobalPhase;
-        g.param = rng.uniform(-3.0, 3.0);
-        break;
-      case 3: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(3, n));
-        g.kind = qsim::GateKind::kUnitary;
-        g.targets = pick_qubits(rng, n, k, used);
-        g.matrix = std::make_shared<const linalg::Matrix<c64>>(
-            random_unitary(rng, std::size_t{1} << k));
-        break;
-      }
-      default: {
-        const std::size_t k = 1 + rng.uniform_index(std::min<std::uint32_t>(2, n));
-        g.kind = qsim::GateKind::kDiagonal;
-        g.targets = pick_qubits(rng, n, k, used);
-        std::vector<c64> d(std::size_t{1} << k);
-        for (auto& v : d) v = std::exp(c64(0, rng.uniform(-3.0, 3.0)));
-        g.diagonal = std::make_shared<const std::vector<c64>>(std::move(d));
-        break;
-      }
-    }
-    const std::uint64_t free_qubits =
-        g.kind == qsim::GateKind::kGlobalPhase
-            ? 0
-            : n - static_cast<std::uint32_t>(g.targets.size());
-    const std::size_t n_ctrl = rng.uniform_index(std::min<std::uint64_t>(3, free_qubits + 1));
-    for (std::size_t k = 0; k < n_ctrl; ++k) {
-      const auto q = pick_qubits(rng, n, 1, used)[0];
-      if (rng.uniform() < 0.5) {
-        g.controls.push_back(q);
-      } else {
-        g.neg_controls.push_back(q);
-      }
-    }
-    c.push(std::move(g));
-  }
-  return c;
-}
-
-// A random normalized complex state of 2^n amplitudes.
-std::vector<std::complex<double>> random_state(Xoshiro256& rng, std::uint32_t n) {
-  std::vector<std::complex<double>> amps(std::size_t{1} << n);
-  double nrm = 0.0;
-  for (auto& a : amps) {
-    a = {rng.normal(), rng.normal()};
-    nrm += std::norm(a);
-  }
-  nrm = std::sqrt(nrm);
-  for (auto& a : amps) a /= nrm;
-  return amps;
-}
-
-// Run `circuit` compiled over `lanes` random states, once per lane via
-// the scalar executor and once as a panel; return the worst per-lane
+// Replay `program` over `lanes` random states as one panel, and interpret
+// `circuit` gate by gate on each state; return the worst per-lane
 // per-amplitude deviation.
 template <typename T>
-double panel_vs_sequential(Xoshiro256& rng, const qsim::Circuit& circuit, std::uint32_t width,
-                           std::size_t lanes) {
-  const auto program = qsim::exec::compile<T>(circuit);
-
+double panel_vs_interpreter(Xoshiro256& rng, const qsim::Circuit& circuit,
+                            const qsim::exec::Program<T>& program, std::uint32_t width,
+                            std::size_t lanes) {
   std::vector<std::vector<std::complex<double>>> states;
   for (std::size_t l = 0; l < lanes; ++l) states.push_back(random_state(rng, width));
 
   qsim::exec::StatePanel<T> panel(width, lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    for (std::size_t i = 0; i < states[l].size(); ++i) panel.set_amp(i, l, states[l][i]);
+    for (std::size_t i = 0; i < states[l].size(); ++i) {
+      panel.set_amp(i, l, states[l][i]);
+      // The reference starts from the stored (storage-rounded) state.
+      states[l][i] = panel.amp(i, l);
+    }
   }
   qsim::exec::PanelExecutor<T>().run(program, panel);
 
   double worst = 0.0;
-  const qsim::exec::Executor<T> executor;
   for (std::size_t l = 0; l < lanes; ++l) {
-    auto sv = qsim::Statevector<T>::from_amplitudes(width, states[l]);
-    executor.run(program, sv);
+    auto sv = qsim::Statevector<double>::from_amplitudes(width, states[l]);
+    sv.apply(circuit);
     for (std::size_t i = 0; i < sv.dim(); ++i) {
-      const auto got = panel.amp(i, l);
-      worst = std::max(worst, std::abs(got - std::complex<double>(sv[i].real(), sv[i].imag())));
+      worst = std::max(worst, std::abs(panel.amp(i, l) - sv[i]));
     }
   }
   return worst;
 }
 
-TEST(PanelExec, MatchesSequentialExecutorDouble) {
-  Xoshiro256 rng(71);
-  for (int trial = 0; trial < 25; ++trial) {
+template <typename T>
+void random_circuits_match_interpreter(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  qsim::exec::CompileOptions options;
+  options.max_fuse_qubits = 5;
+  for (int trial = 0; trial < 12; ++trial) {
     const auto n = static_cast<std::uint32_t>(1 + rng.uniform_index(6));
-    const auto c = random_circuit(rng, n, 35);
-    const std::size_t lanes = 1 + rng.uniform_index(9);
-    EXPECT_LT(panel_vs_sequential<double>(rng, c, n, lanes), 1e-11)
-        << "trial " << trial << " n=" << n << " lanes=" << lanes;
+    const auto c = random_circuit(rng, n, 40);
+    const auto program = qsim::exec::compile<T>(c, options);
+    for (const std::size_t lanes : kLaneCounts) {
+      EXPECT_LT(panel_vs_interpreter<T>(rng, c, program, n, lanes), tolerance<T>())
+          << "trial " << trial << " n=" << n << " lanes=" << lanes;
+    }
   }
 }
 
-TEST(PanelExec, MatchesSequentialExecutorFloat) {
-  Xoshiro256 rng(72);
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto n = static_cast<std::uint32_t>(1 + rng.uniform_index(6));
-    const auto c = random_circuit(rng, n, 35);
-    const std::size_t lanes = 1 + rng.uniform_index(9);
-    EXPECT_LT(panel_vs_sequential<float>(rng, c, n, lanes), 1e-3)
-        << "trial " << trial << " n=" << n << " lanes=" << lanes;
+TEST(PanelExec, RandomCircuitsMatchInterpreterDouble) {
+  random_circuits_match_interpreter<double>(71);
+}
+
+TEST(PanelExec, RandomCircuitsMatchInterpreterFloat) {
+  random_circuits_match_interpreter<float>(72);
+}
+
+TEST(PanelExec, RandomCircuitsMatchInterpreterHalf) {
+  random_circuits_match_interpreter<qsim::exec::f16>(73);
+}
+
+TEST(PanelExec, WideFusedWindowsReachTheDenseKernels) {
+  // The agreement above only covers the wide dense path if fusion really
+  // emits windows beyond the 3-qubit specializations.
+  Xoshiro256 rng(71);
+  qsim::exec::CompileOptions options;
+  options.max_fuse_qubits = 5;
+  const auto ir = qsim::exec::lower_and_fuse(random_circuit(rng, 6, 40), options);
+  EXPECT_GT(ir.stats.max_fused_span, 3u);
+}
+
+template <typename T>
+void qsvt_program_matches_interpreter() {
+  Xoshiro256 rng(74);
+  qsvt::QsvtOptions options;
+  options.eps_l = 5e-2;
+  const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 5.0), options);
+  const auto& circuit = ctx.circuit->circuit;
+  std::uint32_t widest = 0;
+  for (const auto& op : ctx.programs->ir().ops) {
+    if (op.kind == qsim::exec::OpKind::kDense) {
+      widest = std::max(widest, static_cast<std::uint32_t>(op.targets.size()));
+    }
   }
+  EXPECT_GE(widest, 5u) << "the block-encoding unitary should be one wide dense op";
+  for (const std::size_t lanes : kLaneCounts) {
+    EXPECT_LT(panel_vs_interpreter<T>(rng, circuit, ctx.programs->get<T>(),
+                                      circuit.num_qubits(), lanes),
+              tolerance<T>())
+        << "lanes=" << lanes;
+  }
+}
+
+TEST(PanelExec, DenseEmbeddingQsvtProgramMatchesInterpreterDouble) {
+  qsvt_program_matches_interpreter<double>();
+}
+
+TEST(PanelExec, DenseEmbeddingQsvtProgramMatchesInterpreterFloat) {
+  qsvt_program_matches_interpreter<float>();
+}
+
+TEST(PanelExec, DenseEmbeddingQsvtProgramMatchesInterpreterHalf) {
+  qsvt_program_matches_interpreter<qsim::exec::f16>();
 }
 
 TEST(PanelExec, RaggedLaneCounts) {
   // Lane counts that are not powers of two (the tail panel of a ragged
   // batch) must be exact too — the lane loop has no padding assumption.
-  Xoshiro256 rng(73);
+  Xoshiro256 rng(75);
   const auto c = random_circuit(rng, 5, 40);
-  for (const std::size_t lanes : {1u, 3u, 5u, 7u, 11u}) {
-    EXPECT_LT(panel_vs_sequential<double>(rng, c, 5, lanes), 1e-11) << "lanes=" << lanes;
+  const auto program = qsim::exec::compile<double>(c);
+  for (const std::size_t lanes : {5u, 7u, 11u}) {
+    EXPECT_LT(panel_vs_interpreter<double>(rng, c, program, 5, lanes), 1e-11)
+        << "lanes=" << lanes;
   }
 }
 
 TEST(PanelExec, ProgramNarrowerThanPanelRegister) {
-  Xoshiro256 rng(74);
+  Xoshiro256 rng(76);
   const auto c = random_circuit(rng, 3, 25);
-  EXPECT_LT(panel_vs_sequential<double>(rng, c, /*width=*/6, /*lanes=*/4), 1e-11);
+  const auto program = qsim::exec::compile<double>(c);
+  for (const std::size_t lanes : kLaneCounts) {
+    EXPECT_LT(panel_vs_interpreter<double>(rng, c, program, /*width=*/6, lanes), 1e-11)
+        << "lanes=" << lanes;
+  }
 }
 
 TEST(PanelExec, LoadLaneRealEmbedsTheVector) {
@@ -212,7 +182,7 @@ TEST(PanelExec, LoadLaneRealEmbedsTheVector) {
 }
 
 TEST(PanelExec, ReductionsMatchStatevector) {
-  Xoshiro256 rng(75);
+  Xoshiro256 rng(77);
   const std::uint32_t n = 5;
   const std::size_t lanes = 6;
   std::vector<std::vector<std::complex<double>>> states;
@@ -237,12 +207,12 @@ TEST(PanelExec, ReductionsMatchStatevector) {
   }
 }
 
-TEST(PanelExec, PostselectMatchesScalarFlipPath) {
-  // The scalar solve path X-flips the "must be one" qubit and then
+TEST(PanelExec, PostselectMatchesStatevectorFlipPath) {
+  // The interpreter path X-flips the "must be one" qubit and then
   // postselects everything to zero; the panel projects on zeros+ones
   // directly. Same projector: probabilities and surviving amplitudes
   // must agree.
-  Xoshiro256 rng(76);
+  Xoshiro256 rng(78);
   const std::uint32_t n = 5;
   const std::size_t lanes = 4;
   const std::vector<std::uint32_t> zeros = {2, 4};
@@ -268,7 +238,7 @@ TEST(PanelExec, PostselectMatchesScalarFlipPath) {
     const double p = sv.postselect_zero(all_zeros);
     EXPECT_NEAR(probs[l], p, 1e-13) << "lane " << l;
     for (std::size_t i = 0; i < sv.dim(); ++i) {
-      if ((i & one_bit) != 0) continue;  // scalar survivors live at one_bit = 0 post-flip
+      if ((i & one_bit) != 0) continue;  // survivors live at one_bit = 0 post-flip
       const auto got = panel.amp(i | one_bit, l);
       const auto want = std::complex<double>(sv[i].real(), sv[i].imag());
       EXPECT_NEAR(std::abs(got - want), 0.0, 1e-12) << "lane " << l << " index " << i;

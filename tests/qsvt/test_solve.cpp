@@ -6,12 +6,11 @@
 #include <span>
 #include <vector>
 
+#include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/random_matrix.hpp"
-#include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsvt/denormalize.hpp"
 #include "stateprep/kp_tree.hpp"
@@ -190,8 +189,8 @@ TEST(QsvtSolve, TridiagonalEncodingRejectsOtherMatrices) {
 TEST(QsvtSolve, DirectStatePrepMatchesPreparationCircuit) {
   // The clean gate-level path embeds rhs_unit directly into the register;
   // the KP-tree circuit applied to |0…0> must produce the same state, so
-  // the two pipelines must agree. This reference re-runs the old per-solve
-  // round trip (synthesize SP(b), compile it, replay) explicitly.
+  // the two pipelines must agree. This reference interprets SP(b), then
+  // replays the context's program on that state as a one-lane panel.
   Xoshiro256 rng(34);
   const auto A = linalg::random_with_cond(rng, 8, 6.0);
   auto b = linalg::random_unit_vector(rng, 8);  // random signs included
@@ -207,9 +206,8 @@ TEST(QsvtSolve, DirectStatePrepMatchesPreparationCircuit) {
   const auto sp = stateprep::kp_state_preparation(unit);
   const QsvtCircuit& qc = *ctx.circuit;
   qsim::Statevector<double> sv(qc.circuit.num_qubits());
-  const qsim::exec::Executor<double> executor;
-  executor.run(qsim::exec::compile<double>(sp.circuit), sv);
-  executor.run(ctx.programs->get<double>(), sv);
+  sv.apply(sp.circuit);
+  test::replay_one_lane(ctx.programs->get<double>(), sv);
   qsim::Circuit flip(qc.circuit.num_qubits());
   flip.x(qc.realpart_qubit);
   sv.apply(flip);
@@ -231,7 +229,7 @@ TEST(QsvtSolve, DirectStatePrepMatchesPreparationCircuit) {
   EXPECT_EQ(direct.circuit_gates, qc.circuit.size() + sp.circuit.size());
 }
 
-TEST(QsvtSolve, PanelBatchMatchesScalarDirections) {
+TEST(QsvtSolve, PanelBatchMatchesOneLaneDirections) {
   Xoshiro256 rng(35);
   const auto A = linalg::random_with_cond(rng, 8, 6.0);
   std::vector<linalg::Vector<double>> rhs;
@@ -248,15 +246,15 @@ TEST(QsvtSolve, PanelBatchMatchesScalarDirections) {
   EXPECT_EQ(stats.lanes, 5u);
   ASSERT_EQ(batch.size(), rhs.size());
   for (std::size_t k = 0; k < rhs.size(); ++k) {
-    const auto scalar = qsvt_solve_direction(ctx, rhs[k]);
-    ASSERT_EQ(batch[k].direction.size(), scalar.direction.size());
-    for (std::size_t i = 0; i < scalar.direction.size(); ++i) {
-      EXPECT_NEAR(batch[k].direction[i], scalar.direction[i], 1e-10)
+    const auto one = qsvt_solve_direction(ctx, rhs[k]);
+    ASSERT_EQ(batch[k].direction.size(), one.direction.size());
+    for (std::size_t i = 0; i < one.direction.size(); ++i) {
+      EXPECT_NEAR(batch[k].direction[i], one.direction[i], 1e-10)
           << "rhs " << k << " component " << i;
     }
-    EXPECT_NEAR(batch[k].success_probability, scalar.success_probability, 1e-12);
-    EXPECT_EQ(batch[k].be_calls, scalar.be_calls);
-    EXPECT_EQ(batch[k].circuit_gates, scalar.circuit_gates);
+    EXPECT_NEAR(batch[k].success_probability, one.success_probability, 1e-12);
+    EXPECT_EQ(batch[k].be_calls, one.be_calls);
+    EXPECT_EQ(batch[k].circuit_gates, one.circuit_gates);
   }
 }
 
@@ -277,15 +275,15 @@ TEST(QsvtSolve, PanelBatchSinglePrecision) {
   EXPECT_EQ(stats.panels, 1u);
   EXPECT_EQ(stats.lanes, 3u);
   for (std::size_t k = 0; k < rhs.size(); ++k) {
-    const auto scalar = qsvt_solve_direction(ctx, rhs[k]);
-    for (std::size_t i = 0; i < scalar.direction.size(); ++i) {
-      EXPECT_NEAR(batch[k].direction[i], scalar.direction[i], 1e-4)
+    const auto one = qsvt_solve_direction(ctx, rhs[k]);
+    for (std::size_t i = 0; i < one.direction.size(); ++i) {
+      EXPECT_NEAR(batch[k].direction[i], one.direction[i], 1e-4)
           << "rhs " << k << " component " << i;
     }
   }
 }
 
-TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
+TEST(QsvtSolve, MatrixBackendSolvesPerRhsAndSingletonsRunOneLanePanels) {
   Xoshiro256 rng(37);
   const auto A = linalg::random_with_cond(rng, 8, 5.0);
   std::vector<linalg::Vector<double>> rhs;
@@ -298,12 +296,12 @@ TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
   PanelExecStats stats;
   const auto batch =
       qsvt_solve_directions(ctx, std::span<const linalg::Vector<double>>(rhs), &stats);
-  EXPECT_EQ(stats.panels, 0u);  // scalar fallback: no panel sweeps
+  EXPECT_EQ(stats.panels, 0u);  // per-RHS arm: no panel sweeps
   EXPECT_EQ(stats.lanes, 0u);
   for (std::size_t k = 0; k < rhs.size(); ++k) {
-    const auto scalar = qsvt_solve_direction(ctx, rhs[k]);
-    for (std::size_t i = 0; i < scalar.direction.size(); ++i) {
-      EXPECT_EQ(batch[k].direction[i], scalar.direction[i]);  // same code path: bitwise
+    const auto one = qsvt_solve_direction(ctx, rhs[k]);
+    for (std::size_t i = 0; i < one.direction.size(); ++i) {
+      EXPECT_EQ(batch[k].direction[i], one.direction[i]);  // same code path: bitwise
     }
   }
 
@@ -314,10 +312,11 @@ TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
   PanelExecStats gate_stats;
   const auto single = qsvt_solve_directions(
       gate_ctx, std::span<const linalg::Vector<double>>(rhs.data(), 1), &gate_stats);
-  EXPECT_EQ(gate_stats.panels, 0u);  // one lane: scalar path
-  const auto scalar = qsvt_solve_direction(gate_ctx, rhs[0]);
-  for (std::size_t i = 0; i < scalar.direction.size(); ++i) {
-    EXPECT_EQ(single[0].direction[i], scalar.direction[i]);
+  EXPECT_EQ(gate_stats.panels, 1u);  // one lane is still a panel sweep
+  EXPECT_EQ(gate_stats.lanes, 1u);
+  const auto one = qsvt_solve_direction(gate_ctx, rhs[0]);
+  for (std::size_t i = 0; i < one.direction.size(); ++i) {
+    EXPECT_EQ(single[0].direction[i], one.direction[i]);
   }
 }
 

@@ -1,8 +1,8 @@
 // SolverService end to end: batch solves share one prepared context and
-// (on the scalar per-RHS path) reproduce the single-solve path bitwise;
-// panelized jobs match the scalar path within kernel rounding and fall
-// back for scalar-only workloads; concurrent scheduling does not perturb
-// results under a fixed seed; the cache spans jobs; async submit works.
+// (at panel width 1) reproduce the single-solve path bitwise; wider
+// panels match width 1 within kernel rounding; noisy and matrix-function
+// jobs solve per RHS; concurrent scheduling does not perturb results
+// under a fixed seed; the cache spans jobs; async submit works.
 // (Bitwise holds at a fixed OpenMP thread count: registers of >= 2^15
 // amplitudes reduce norms/probabilities in parallel, and the summation
 // order follows the thread count — see qsim/statevector.hpp.)
@@ -55,10 +55,11 @@ TEST(SolverService, BatchMatchesSequentialBitwise) {
   std::vector<solver::QsvtIrReport> reference;
   for (const auto& b : req.rhs) reference.push_back(solver::solve_qsvt_ir(ctx, b, req.options));
 
-  // panel_width 1 pins the scalar per-RHS path: this test asserts that
-  // concurrent scheduling alone never perturbs results. Panel execution
-  // has its own parity test below (tolerance — the lane-vectorized
-  // kernels round differently).
+  // panel_width 1 fans one-lane panels out across the pool — the same
+  // replay solve_qsvt_ir runs — so this asserts that concurrent
+  // scheduling alone never perturbs results. Wider panels have their own
+  // parity test below (tolerance — the lane-vectorized kernels round
+  // differently).
   SolverService service(
       {.cache_capacity = 4, .solve_threads = 4, .job_threads = 1, .panel_width = 1});
   const auto result = service.solve(req);
@@ -80,21 +81,21 @@ TEST(SolverService, BatchMatchesSequentialBitwise) {
   }
 }
 
-TEST(SolverService, PanelizedJobMatchesScalarPath) {
-  // 5 right-hand sides at panel width 4: one full panel plus a singleton
-  // tail (which falls back to the scalar path), so this also covers the
-  // ragged-batch grouping.
-  const auto req = make_request("panel-vs-scalar", 8, 5, 500);
+TEST(SolverService, PanelWidthOneMatchesWidthFour) {
+  // 5 right-hand sides at panel width 4: one full panel plus a one-lane
+  // tail, so this also covers the ragged-batch grouping.
+  const auto req = make_request("width1-vs-width4", 8, 5, 500);
 
-  SolverService scalar(
+  SolverService narrow(
       {.cache_capacity = 2, .solve_threads = 2, .job_threads = 1, .panel_width = 1});
   SolverService panel(
       {.cache_capacity = 2, .solve_threads = 2, .job_threads = 1, .panel_width = 4});
-  const auto want = scalar.solve(req);
+  const auto want = narrow.solve(req);
   const auto got = panel.solve(req);
 
-  EXPECT_EQ(want.panels_executed, 0u);
-  EXPECT_GE(got.panels_executed, 1u);  // the 4-lane group, one sweep per round
+  EXPECT_GE(want.panels_executed, want.solves.size());  // one-lane sweeps, >= 1 per RHS
+  EXPECT_EQ(want.panel_lanes, want.panels_executed);
+  EXPECT_GE(got.panels_executed, 2u);  // the 4-lane group and the tail, per round
   EXPECT_GE(got.panel_lanes, 4u);
   EXPECT_EQ(panel.stats().panels_executed, got.panels_executed);
   EXPECT_EQ(panel.stats().panel_lanes_total, got.panel_lanes);
@@ -109,8 +110,8 @@ TEST(SolverService, PanelizedJobMatchesScalarPath) {
     EXPECT_EQ(g.converged, w.converged) << "rhs " << k;
     ASSERT_EQ(g.x.size(), w.x.size());
     for (std::size_t i = 0; i < w.x.size(); ++i) {
-      // The lane-vectorized kernels perform the scalar path's arithmetic
-      // per lane but round through different instruction sequences.
+      // The lane-vectorized kernels perform the one-lane arithmetic per
+      // lane but round through different instruction sequences.
       EXPECT_NEAR(g.x[i], w.x[i], 1e-9) << "rhs " << k << " component " << i;
     }
     EXPECT_EQ(g.solves.size(), w.solves.size()) << "rhs " << k;
@@ -118,26 +119,29 @@ TEST(SolverService, PanelizedJobMatchesScalarPath) {
   }
 }
 
-TEST(SolverService, PanelFallsBackForScalarOnlyWorkloads) {
+TEST(SolverService, OnlyNoisyAndMatrixJobsSolvePerRhs) {
   SolverService service(
       {.cache_capacity = 4, .solve_threads = 2, .job_threads = 1, .panel_width = 4});
 
-  // Singleton job: nothing to batch.
+  // Singleton job: a one-lane panel.
   const auto single = service.solve(make_request("single", 8, 1, 600));
-  EXPECT_EQ(single.panels_executed, 0u);
+  EXPECT_GE(single.panels_executed, 1u);
 
-  // Matrix-function backend: no compiled program to replay.
-  const auto matrix =
-      service.solve(make_request("matrix", 8, 3, 700, qsvt::Backend::kMatrixFunction));
-  EXPECT_EQ(matrix.panels_executed, 0u);
-
-  // Shot-seeded readout: the scalar path keeps historical RNG consumption.
+  // Shot-seeded readout: panels seed each lane's readout exactly like a
+  // one-RHS solve, so shots do not change the arm.
   auto shots = make_request("shots", 8, 3, 800);
   shots.options.eps = 1e-2;
   shots.options.max_iterations = 8;
   shots.options.qsvt.shots = 200000;
   const auto shot_result = service.solve(shots);
-  EXPECT_EQ(shot_result.panels_executed, 0u);
+  EXPECT_GE(shot_result.panels_executed, 1u);
+  const std::uint64_t panel_sweeps = service.stats().panels_executed;
+  EXPECT_EQ(panel_sweeps, single.panels_executed + shot_result.panels_executed);
+
+  // Matrix-function backend: no compiled program to replay.
+  const auto matrix =
+      service.solve(make_request("matrix", 8, 3, 700, qsvt::Backend::kMatrixFunction));
+  EXPECT_EQ(matrix.panels_executed, 0u);
 
   // Noise trajectories need per-gate injection.
   auto noisy = make_request("noisy", 8, 2, 900);
@@ -147,7 +151,7 @@ TEST(SolverService, PanelFallsBackForScalarOnlyWorkloads) {
   const auto noisy_result = service.solve(noisy);
   EXPECT_EQ(noisy_result.panels_executed, 0u);
 
-  EXPECT_EQ(service.stats().panels_executed, 0u);
+  EXPECT_EQ(service.stats().panels_executed, panel_sweeps);
 }
 
 TEST(SolverService, ConcurrentBatchIsDeterministic) {

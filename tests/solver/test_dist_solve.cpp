@@ -5,7 +5,7 @@
 // lockstep contract the adaptive schedule relies on), 2- and 4-shard
 // results must agree bitwise with each other (both reduce to the same
 // one-lane replay arithmetic), and all must match the single-node solver
-// within the panel-vs-scalar rounding tolerance.
+// within the lane-count rounding tolerance.
 #include "solver/qsvt_ir.hpp"
 
 #include <gtest/gtest.h>
@@ -101,7 +101,7 @@ TEST(DistSolve, DoubleTierShardsAgreeBitwiseAcrossWorldSizes) {
   EXPECT_TRUE(two[0][0].converged);
   EXPECT_LE(two[0][0].scaled_residuals.back(), options.eps);
 
-  // And the single-node solver agrees within the panel-vs-scalar rounding.
+  // And the single-node solver agrees within the lane-count rounding.
   const auto want = solve_qsvt_ir(ctx, bs[0], options);
   EXPECT_EQ(two[0][0].converged, want.converged);
   EXPECT_EQ(two[0][0].iterations, want.iterations);

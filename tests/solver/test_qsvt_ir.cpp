@@ -123,9 +123,9 @@ TEST(QsvtIr, CommLogFollowsFigureOne) {
   EXPECT_EQ(be_transfers, 1);
 }
 
-TEST(QsvtIr, BatchLockstepMatchesScalarRefinement) {
-  // One lockstep batch over 5 right-hand sides (panel sweeps under the
-  // hood) must reproduce the 5 scalar refinement runs: same iteration
+TEST(QsvtIr, BatchLockstepMatchesOneLaneRefinement) {
+  // One lockstep batch over 5 right-hand sides (5-lane panel sweeps under
+  // the hood) must reproduce the 5 one-lane refinement runs: same iteration
   // counts, comm timelines and — up to the panel kernels' rounding — the
   // same solutions and residual histories.
   Xoshiro256 rng(48);
@@ -342,8 +342,8 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
               static_cast<std::uint64_t>(rep.iterations))
         << "lane " << k;
   }
-  // The scalar adaptive run agrees on the solution (panel kernels round
-  // differently, so compare to tolerance, not bitwise).
+  // The one-lane adaptive run agrees on the solution (kernels round
+  // differently per lane count, so compare to tolerance, not bitwise).
   for (std::size_t k = 0; k < bs.size(); ++k) {
     const auto want = solve_qsvt_ir(ctx, bs[k], options);
     ASSERT_EQ(batch[k].x.size(), want.x.size());
