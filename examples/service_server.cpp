@@ -6,12 +6,6 @@
 //       [--solve-threads N] [--job-threads N] [--queue-depth N]
 //       [--cache-capacity N] [--retained-jobs N] [--max-body-mb N]
 //       [--panel-width N] [--store-mb N] [--retained-slow K]
-//       [--backend NAME]
-//
-// --backend NAME sets the default execution backend jobs run on when
-// they do not name one themselves ("reference" unless overridden; see
-// GET /v1/healthz for the registered capability list). Cluster mode
-// accepts the same flag for its in-process workers.
 //
 // --panel-width N sets how many right-hand sides share one compiled-
 // program sweep (the multi-RHS panel executor; default 8, small powers
@@ -61,7 +55,6 @@
 #include "cluster/coordinator.hpp"
 #include "cluster/test_cluster.hpp"
 #include "common/io.hpp"
-#include "qsim/exec/backend/backend.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "net/daemon.hpp"
@@ -188,21 +181,6 @@ int run_daemon(int argc, char** argv) {
       options.service.slow_jobs_retained = flag_value(argc, argv, &i, "--retained-slow");
     } else if (arg == "--panel-width") {
       options.service.panel_width = flag_value(argc, argv, &i, "--panel-width");
-    } else if (arg == "--backend") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--backend needs a name\n");
-        return 2;
-      }
-      options.service.default_backend = argv[++i];
-      if (qsim::exec::find_backend(options.service.default_backend) == nullptr) {
-        std::fprintf(stderr, "--backend: unknown execution backend: %s (registered:",
-                     options.service.default_backend.c_str());
-        for (const auto& name : qsim::exec::backend_registry().names()) {
-          std::fprintf(stderr, " %s", name.c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return 2;
-      }
     } else if (arg == "--store-mb") {
       options.service.matrix_store_bytes = flag_value(argc, argv, &i, "--store-mb") << 20;
     } else if (arg == "--max-body-mb") {
@@ -306,17 +284,6 @@ int run_cluster(int argc, char** argv) {
       worker.service.slow_jobs_retained = flag_value(argc, argv, &i, "--retained-slow");
     } else if (arg == "--panel-width") {
       worker.service.panel_width = flag_value(argc, argv, &i, "--panel-width");
-    } else if (arg == "--backend") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--backend needs a name\n");
-        return 2;
-      }
-      worker.service.default_backend = argv[++i];
-      if (qsim::exec::find_backend(worker.service.default_backend) == nullptr) {
-        std::fprintf(stderr, "--backend: unknown execution backend: %s\n",
-                     worker.service.default_backend.c_str());
-        return 2;
-      }
     } else if (arg == "--store-mb") {
       worker.service.matrix_store_bytes = flag_value(argc, argv, &i, "--store-mb") << 20;
     } else if (arg == "--max-body-mb") {

@@ -32,7 +32,6 @@
 // moved) rendered under the summary table, and the daemon's distributed
 // posture (qubit cap, active shard groups with peers) is scraped from
 // /v1/healthz after the run.
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -181,59 +180,6 @@ void print_precision_status(const std::string& text) {
   std::printf("precision tiers: %.0f half / %.0f single / %.0f double solves, "
               "%.0f escalations\n",
               half, single, dbl, switches);
-}
-
-/// Distinct values of one label across a family's sample lines, in first-
-/// appearance order — discovers the backend split without hardcoding the
-/// server's registry.
-std::vector<std::string> label_values(const std::string& text, const std::string& name,
-                                      const std::string& label) {
-  std::vector<std::string> values;
-  const std::string needle = label + "=\"";
-  std::size_t pos = 0;
-  while ((pos = text.find(name, pos)) != std::string::npos) {
-    const std::size_t start = pos;
-    const std::size_t after = pos + name.size();
-    pos = after;
-    if (start != 0 && text[start - 1] != '\n') continue;
-    if (after >= text.size() || text[after] != '{') continue;
-    std::size_t eol = text.find('\n', after);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(start, eol - start);
-    const std::size_t lp = line.find(needle);
-    if (lp == std::string::npos) continue;
-    const std::size_t vstart = lp + needle.size();
-    const std::size_t vend = line.find('"', vstart);
-    if (vend == std::string::npos) continue;
-    const std::string value = line.substr(vstart, vend - vstart);
-    if (std::find(values.begin(), values.end(), value) == values.end()) {
-      values.push_back(value);
-    }
-  }
-  return values;
-}
-
-/// Per-execution-backend load split (mpqls_backend_* families, summed
-/// across workers against a cluster coordinator). Prints nothing against
-/// a daemon predating execution backends or before any job ran.
-void print_backend_status(const std::string& text) {
-  const auto backends = label_values(text, "mpqls_backend_jobs_total", "backend");
-  if (backends.empty()) return;
-  const auto defaults = label_values(text, "mpqls_backend_default_info", "backend");
-  std::printf("backends:");
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    const auto pick = [&](const char* name) {
-      const double v = family_sum(text, name, std::string("backend=\"") + backends[i] + "\"");
-      return std::isnan(v) ? 0.0 : v;
-    };
-    const bool is_default =
-        std::find(defaults.begin(), defaults.end(), backends[i]) != defaults.end();
-    std::printf("%s %s%s %.0f jobs / %.0f rhs / %.0f replays / %.0f panels",
-                i == 0 ? "" : " |", backends[i].c_str(), is_default ? "*" : "",
-                pick("mpqls_backend_jobs_total"), pick("mpqls_backend_rhs_solved_total"),
-                pick("mpqls_backend_replays_total"), pick("mpqls_backend_panels_total"));
-  }
-  std::printf("%s\n", defaults.empty() ? "" : "  (* = server default)");
 }
 
 /// Recursive indented rendering of one span and its children. Spans
@@ -395,7 +341,6 @@ int main(int argc, char** argv) try {
   std::string jobs_path;
   std::string cancel_id;
   std::string trace_id;
-  std::string backend_override;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--host" && i + 1 < argc) {
@@ -414,14 +359,12 @@ int main(int argc, char** argv) try {
       cancel_id = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_id = argv[++i];
-    } else if (arg == "--backend" && i + 1 < argc) {
-      backend_override = argv[++i];
     } else if (!arg.empty() && arg[0] != '-') {
       jobs_path = arg;
     } else {
       std::fprintf(stderr,
                    "usage: submit_job [--host H] [--port P] [--poll-ms N] [--timeout-s N] "
-                   "[--binary] [--upload] [--backend NAME] "
+                   "[--binary] [--upload] "
                    "(jobs.json | --cancel JOB_ID | --trace JOB_ID)\n");
       return 2;
     }
@@ -452,18 +395,6 @@ int main(int argc, char** argv) try {
     for (const auto& j : doc.at("jobs").as_array()) jobs.push_back(j);
   } else {
     jobs.push_back(doc);
-  }
-  if (!backend_override.empty()) {
-    // Per-job execution-backend override: the top-level "backend" field
-    // wins over anything the job file specified. The server answers 400
-    // for names it does not have enabled — visible in the refusal path
-    // below. Binary frames carry no backend field, so under --binary the
-    // override cannot travel; say so instead of silently dropping it.
-    if (use_binary) {
-      std::fprintf(stderr, "--backend is JSON-only; binary frames run the server default\n");
-      return 2;
-    }
-    for (auto& job : jobs) job["backend"] = backend_override;
   }
 
   net::HttpClient client(host, port);
@@ -625,7 +556,6 @@ int main(int argc, char** argv) try {
   const std::string metrics_text = fetch_metrics(client);
   print_panel_status(metrics_text);
   print_precision_status(metrics_text);
-  print_backend_status(metrics_text);
   print_store_status(metrics_text);
   print_cluster_status(metrics_text);
   print_dist_status(client);

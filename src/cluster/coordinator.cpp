@@ -1,8 +1,6 @@
 #include "cluster/coordinator.hpp"
 
-#include <algorithm>
 #include <charconv>
-#include <set>
 #include <stdexcept>
 
 #include "cluster/metrics_aggregate.hpp"
@@ -68,23 +66,6 @@ std::string rewrite_job_id(std::string body, const std::string& worker_id,
   return body;
 }
 
-/// Backend names out of a worker's /v1/healthz body. Anything unexpected
-/// (old worker without the field, malformed body) yields the empty list —
-/// "capabilities unknown", which routing treats as eligible.
-std::vector<std::string> parse_backend_names(const std::string& healthz_body) {
-  std::vector<std::string> names;
-  try {
-    const Json body = Json::parse(healthz_body);
-    if (!body.is_object() || !body.contains("backends")) return names;
-    for (const auto& b : body.at("backends").as_array()) {
-      names.push_back(b.at("name").as_string());
-    }
-  } catch (const std::exception&) {
-    names.clear();
-  }
-  return names;
-}
-
 }  // namespace
 
 const char* to_string(BreakerState state) {
@@ -112,11 +93,6 @@ struct Coordinator::Worker {
   std::uint64_t affinity_wins = 0;
   std::uint64_t transport_failures = 0;
   bool probe_ok = true;
-  /// Execution backends the worker advertised on its last healthy probe
-  /// (the "backends" capability list in /v1/healthz). Empty = not probed
-  /// yet or a pre-capability worker — treated as eligible for everything,
-  /// letting the worker's own 400 be the backstop.
-  std::vector<std::string> backends;
 };
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -282,10 +258,6 @@ HttpResponse Coordinator::do_submit(const HttpRequest& request) {
     trace::TraceId::parse(*th, trace_id);
   }
   std::uint64_t key = 0;
-  // The execution backend the job names (JSON only — binary frames carry
-  // no backend field and always run each worker's default): candidates
-  // whose probed capability list lacks it are skipped below.
-  std::string backend;
   if (is_frame) {
     try {
       key = wire::request_affinity_key(request.body);
@@ -305,7 +277,6 @@ HttpResponse Coordinator::do_submit(const HttpRequest& request) {
       trace::TraceId::parse(parsed_body.at("trace_id").as_string(), trace_id);
     }
     key = affinity_key(parsed_body, request.body);
-    backend = service::requested_backend(parsed_body);
     if (parsed_body.is_object() && parsed_body.contains("dist_workers")) {
       return do_submit_dist(request, parsed_body, key, trace_id);
     }
@@ -324,25 +295,11 @@ HttpResponse Coordinator::do_submit(const HttpRequest& request) {
   std::uint64_t attempts = 0;
 
   bool saw_saturated = false;
-  bool saw_incapable = false;
   HttpResponse saturated_response;
   for (const std::size_t index : order) {
     Worker& worker = *workers_[index];
     {
       std::lock_guard<std::mutex> lock(worker.mutex);
-      // Capability filter before rendezvous admission: a worker whose
-      // last probe advertised a backend list WITHOUT the requested name
-      // cannot run the job — skip it without burning a connection. An
-      // empty list (unprobed / pre-capability worker) stays eligible;
-      // the worker's own 400 is the backstop when that guess is wrong.
-      if (!backend.empty() && !worker.backends.empty() &&
-          std::find(worker.backends.begin(), worker.backends.end(), backend) ==
-              worker.backends.end()) {
-        saw_incapable = true;
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.capability_skips;
-        continue;
-      }
       if (!worker.breaker.allow(std::chrono::steady_clock::now())) {
         std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++stats_.retries;
@@ -462,13 +419,6 @@ HttpResponse Coordinator::do_submit(const HttpRequest& request) {
     ++stats_.saturated_rejects;
     return saturated_response;  // mirror the 429/503 (keeps the Retry-After)
   }
-  if (saw_incapable) {
-    // Every reachable candidate was known to lack the requested backend.
-    // 503 (not 400): capability sets change as workers are reconfigured
-    // or probed, so the condition is retryable, unlike a schema defect.
-    ++stats_.unroutable;
-    return error_json(503, "no cluster worker supports backend \"" + backend + "\"");
-  }
   ++stats_.unroutable;
   return error_json(503, "no cluster worker reachable");
 }
@@ -488,26 +438,20 @@ HttpResponse Coordinator::do_submit_dist(const HttpRequest& request, const Json&
   if (parsed.contains("shard")) {
     return error_json(400, "dist_workers and an explicit shard block are mutually exclusive");
   }
-  const std::string backend = service::requested_backend(parsed);
 
   // Membership in ring order for the job's affinity key: resubmits of
   // the same job re-form the same group (warm context caches on every
-  // rank). Health filter mirrors do_submit — skip open breakers, failed
-  // probes, and workers whose capability list lacks the backend — but
-  // runs BEFORE any admission POST: a partially-admitted group is worse
-  // than useless (its admitted ranks would block in their first exchange
-  // until the await timeout), so the group is formed all-or-nothing.
+  // rank). Health filter mirrors do_submit — skip open breakers and
+  // failed probes — but runs BEFORE any admission POST: a
+  // partially-admitted group is worse than useless (its admitted ranks
+  // would block in their first exchange until the await timeout), so the
+  // group is formed all-or-nothing.
   std::vector<std::size_t> members;
   for (const std::size_t index : candidate_order(key)) {
     Worker& worker = *workers_[index];
     std::lock_guard<std::mutex> lock(worker.mutex);
     if (!worker.probe_ok) continue;
     if (worker.breaker.state(std::chrono::steady_clock::now()) == BreakerState::kOpen) continue;
-    if (!backend.empty() && !worker.backends.empty() &&
-        std::find(worker.backends.begin(), worker.backends.end(), backend) ==
-            worker.backends.end()) {
-      continue;
-    }
     members.push_back(index);
     if (members.size() == world) break;
   }
@@ -955,32 +899,17 @@ HttpResponse Coordinator::do_list(const HttpRequest& request) {
 
 HttpResponse Coordinator::healthz_now() {
   std::size_t healthy = 0;
-  std::set<std::string> backend_union;
-  Json worker_backends = Json::object();
   for (const auto& worker : workers_) {
     std::lock_guard<std::mutex> lock(worker->mutex);
     if (worker->breaker.state(std::chrono::steady_clock::now()) != BreakerState::kOpen &&
         worker->probe_ok) {
       ++healthy;
     }
-    Json names = Json::array();
-    for (const auto& name : worker->backends) {
-      backend_union.insert(name);
-      names.push_back(name);
-    }
-    worker_backends[worker->endpoint.id] = std::move(names);
   }
   Json j = Json::object();
   j["status"] = healthy > 0 ? "ok" : "degraded";
   j["workers"] = static_cast<std::uint64_t>(workers_.size());
   j["workers_healthy"] = static_cast<std::uint64_t>(healthy);
-  // Capability picture from the probes: the union of execution backends
-  // some worker can run, and the per-worker lists routing filters on (an
-  // empty list = that worker not yet probed / pre-capability).
-  Json backends = Json::array();
-  for (const auto& name : backend_union) backends.push_back(name);
-  j["backends"] = std::move(backends);
-  j["worker_backends"] = std::move(worker_backends);
   return json_response(healthy > 0 ? 200 : 503, std::move(j));
 }
 
@@ -1003,7 +932,6 @@ std::vector<Coordinator::WorkerSnapshot> Coordinator::workers() const {
     s.affinity_wins = worker->affinity_wins;
     s.transport_failures = worker->transport_failures;
     s.probe_ok = worker->probe_ok;
-    s.backends = worker->backends;
     out.push_back(std::move(s));
   }
   return out;
@@ -1027,9 +955,6 @@ std::string Coordinator::metrics_text() {
   m.counter("mpqls_cluster_retries_total",
             "Per-attempt failures or breaker skips that moved to the next candidate.",
             stats.retries);
-  m.counter("mpqls_cluster_capability_skips_total",
-            "Candidates skipped because their probed backends lacked the requested one.",
-            stats.capability_skips);
   m.counter("mpqls_cluster_breaker_trips_total", "Circuit-breaker open transitions.",
             trips_total);
   m.counter("mpqls_cluster_saturated_rejects_total",
@@ -1132,21 +1057,13 @@ void Coordinator::probe_loop() {
         if (!worker.breaker.allow(std::chrono::steady_clock::now())) continue;
       }
       bool ok = false;
-      std::vector<std::string> backends;
       try {
-        const auto response = worker.probe_client.get("/v1/healthz");
-        ok = response.status == 200;
-        // Capability refresh piggybacks on the liveness probe: the worker
-        // advertises its enabled execution backends in the healthz body.
-        // A body without the list (pre-capability worker, parse trouble)
-        // leaves the list empty — eligible for everything.
-        if (ok) backends = parse_backend_names(response.body);
+        ok = worker.probe_client.get("/v1/healthz").status == 200;
       } catch (const std::exception&) {
         ok = false;
       }
       std::lock_guard<std::mutex> lock(worker.mutex);
       worker.probe_ok = ok;
-      if (ok) worker.backends = std::move(backends);
       if (ok) {
         worker.breaker.record_success();
       } else {

@@ -121,7 +121,6 @@ class Coordinator {
     std::uint64_t affinity_hits = 0;     ///< accepted on the ring-preferred worker
     std::uint64_t spillovers = 0;        ///< accepted on a non-preferred worker
     std::uint64_t retries = 0;           ///< per-attempt failures/skips that moved on
-    std::uint64_t capability_skips = 0;  ///< candidates skipped for lacking the backend
     std::uint64_t saturated_rejects = 0;  ///< every candidate answered 429/503
     std::uint64_t unroutable = 0;         ///< no worker reachable at all
     std::uint64_t proxied_polls = 0;
@@ -142,9 +141,6 @@ class Coordinator {
     std::uint64_t affinity_wins = 0;     ///< accepted jobs it was the ring home for
     std::uint64_t transport_failures = 0;
     bool probe_ok = true;
-    /// Execution backends advertised on the last healthy probe (empty =
-    /// capabilities unknown; such a worker is routed everything).
-    std::vector<std::string> backends;
   };
   std::vector<WorkerSnapshot> workers() const;
 

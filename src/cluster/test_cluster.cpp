@@ -14,9 +14,6 @@ TestCluster::TestCluster(TestClusterOptions options) {
   for (std::size_t i = 0; i < options.workers; ++i) {
     net::DaemonOptions worker = options.worker;
     worker.port = 0;  // ephemeral
-    if (i < options.worker_backends.size()) {
-      worker.service.enabled_backends = options.worker_backends[i];
-    }
     auto daemon = std::make_unique<net::SolverDaemon>(worker);
     daemon->start();
     coordinator.worker_urls.push_back("127.0.0.1:" + std::to_string(daemon->port()));

@@ -17,11 +17,6 @@ struct TestClusterOptions {
   std::size_t workers = 2;
   /// Per-worker daemon configuration (port is overridden to ephemeral).
   net::DaemonOptions worker;
-  /// Heterogeneous-capability override: entry i replaces the enabled
-  /// execution backends of worker i (empty entry = every registered
-  /// backend; workers beyond the list keep `worker`'s setting). Lets
-  /// routing tests model a ring where only some workers have a backend.
-  std::vector<std::vector<std::string>> worker_backends;
   /// Coordinator configuration (worker_urls/port are filled in; port 0
   /// unless set). Probe/breaker/routing knobs pass through.
   CoordinatorOptions coordinator;

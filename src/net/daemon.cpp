@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <string_view>
@@ -11,7 +12,6 @@
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "net/shard_exchange.hpp"
-#include "qsim/exec/backend/backend.hpp"
 #include "service/fingerprint.hpp"
 #include "service/json_io.hpp"
 #include "service/limits.hpp"
@@ -109,16 +109,18 @@ std::size_t estimate_circuit_qubits(const Json& body, std::size_t resolved_rows)
       if (scenario == "dense" && m.contains("rows") && m.at("rows").is_array()) {
         n = m.at("rows").as_array().size();
       } else if (scenario == "poisson2d") {
-        n = static_cast<std::size_t>(m.uint_or("nx", 0)) *
-            static_cast<std::size_t>(m.uint_or("ny", 0));
+        const std::uint64_t nx = m.uint_or("nx", 0);
+        const std::uint64_t ny = m.uint_or("ny", 0);
+        if (nx > service::kMaxDimension || ny > service::kMaxDimension) return 0;
+        n = static_cast<std::size_t>(nx * ny);
       } else if (m.contains("n")) {
         n = static_cast<std::size_t>(m.at("n").as_uint());
       }
     }
-    if (n < 2) return 0;
-    std::size_t data = 0;
-    while ((std::size_t{1} << data) < n) ++data;
-    return data + 3;
+    // Over-cap dimensions fail at materialization with the dimension-cap
+    // message; they must not reach the width computation below.
+    if (n < 2 || n > service::kMaxDimension) return 0;
+    return static_cast<std::size_t>(std::bit_width(n - 1)) + 3;
   } catch (const std::exception&) {
     return 0;  // schema defects surface as a failed job, as before
   }
@@ -261,15 +263,6 @@ HttpResponse SolverDaemon::submit_job(const HttpRequest& request) {
       }
       resolved = service_.matrix_store().get(ref);
       if (!resolved) return matrix_miss_json(ref);
-    }
-    // Execution-backend admission: an unknown or disabled backend is a
-    // schema defect the client hears about synchronously (400 with the
-    // contract message), not a failed job discovered on poll. Binary
-    // frames carry no backend field and always run the service default.
-    try {
-      service_.resolve_backend(service::requested_backend(body));
-    } catch (const contract_violation& e) {
-      return error_json(400, e.what());
     }
     // Capacity admission: when this worker enforces a statevector qubit
     // cap, an obviously-too-wide gate-level job answers 413 here instead
@@ -549,28 +542,6 @@ HttpResponse SolverDaemon::healthz() const {
   Json j = Json::object();
   j["status"] = draining_.load() ? "draining" : "ok";
   j["uptime_seconds"] = uptime_.seconds();
-  // Execution-backend capabilities: what this instance can run and what
-  // it runs by default. The coordinator's prober consumes this for
-  // capability-aware routing; clients render it to pick a backend.
-  j["default_backend"] = options_.service.default_backend;
-  Json backends = Json::array();
-  for (const auto& name : service_.enabled_backends()) {
-    const auto* backend = qsim::exec::find_backend(name);
-    if (backend == nullptr) continue;
-    const auto& caps = backend->capabilities();
-    Json b = Json::object();
-    b["name"] = caps.name;
-    b["description"] = caps.description;
-    Json precisions = Json::array();
-    for (const auto& p : caps.precisions) precisions.push_back(p);
-    b["precisions"] = std::move(precisions);
-    b["max_qubits"] = static_cast<std::uint64_t>(caps.max_qubits);
-    Json widths = Json::array();
-    for (const auto w : caps.panel_widths) widths.push_back(static_cast<std::uint64_t>(w));
-    b["panel_widths"] = std::move(widths);
-    backends.push_back(std::move(b));
-  }
-  j["backends"] = std::move(backends);
   // Distributed-execution posture: the qubit cap that makes this worker
   // reject too-wide jobs (0 = unlimited) and the shard groups currently
   // rendezvousing through this daemon's hub. Coordinators consume the cap
@@ -654,28 +625,6 @@ std::string SolverDaemon::metrics_text() const {
   m.counter("mpqls_precision_switches_total",
             "Tier escalations taken by adaptive-precision solves.",
             stats.precision_switches_total);
-
-  // Per-execution-backend load: which kernel implementation ran what.
-  // Labels are RESOLVED registry names (default-routed jobs land under
-  // the configured default), so series appear once a backend first runs.
-  m.gauge("mpqls_backend_default_info", "1 for the configured default execution backend.",
-          std::uint64_t{1}, {{"backend", options_.service.default_backend}});
-  const auto backend_family = [&m, &stats](const char* name, const char* help, auto pick) {
-    for (const auto& [backend, b] : stats.backends) {
-      m.counter(name, help, pick(b), {{"backend", backend}});
-    }
-  };
-  backend_family("mpqls_backend_jobs_total", "Jobs executed, by execution backend.",
-                 [](const auto& b) { return b.jobs; });
-  backend_family("mpqls_backend_rhs_solved_total",
-                 "Right-hand sides solved, by execution backend.",
-                 [](const auto& b) { return b.rhs_solved; });
-  backend_family("mpqls_backend_replays_total",
-                 "Compiled-program applications (one per QSVT solve), by execution backend.",
-                 [](const auto& b) { return b.replays; });
-  backend_family("mpqls_backend_panels_total",
-                 "Panel sweeps executed, by execution backend.",
-                 [](const auto& b) { return b.panels; });
 
   m.counter("mpqls_cache_hits_total", "Context-cache hits (includes in-flight joins).",
             cache.hits);

@@ -22,8 +22,8 @@
 // register size. The replayer is stateless and reentrant: one program can
 // be replayed from many threads onto distinct panels.
 //
-// The op bodies live in qsim/exec/kernels.hpp; this class is what the
-// "reference" execution backend (qsim/exec/backend/) dispatches to.
+// The op bodies live in qsim/exec/kernels.hpp; clean gate-level solves
+// call `run` directly (qsvt/solve.cpp), with no dispatch layer between.
 #pragma once
 
 #include <cstdint>

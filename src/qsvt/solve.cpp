@@ -91,14 +91,6 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
   }
 
   if (options.backend == Backend::kGateLevel) {
-    // Resolve the execution backend up front so an unknown name fails at
-    // prepare time (where the service can 400 it), not mid-solve.
-    const std::string backend_name =
-        options.exec_backend.empty() ? qsim::exec::kDefaultBackendName : options.exec_backend;
-    ctx.exec_backend = qsim::exec::find_backend(backend_name);
-    expects(ctx.exec_backend != nullptr, "qsvt solver: unknown execution backend");
-    ctx.backend_handle = ctx.exec_backend->create_handle();
-
     ctx.phases = qsp::solve_symmetric_qsp(ctx.target, options.qsp_options);
     expects(ctx.phases.converged, "qsvt solver: QSP phase finding failed");
     ctx.circuit = build_qsvt_circuit(ctx.be, ctx.phases.phases);
@@ -306,7 +298,7 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
     expects(rhs[lane]->size() == N, "qsvt panel: dimension mismatch");
     panel.load_lane_real(lane, normalized(*rhs[lane]));
   }
-  ctx.exec_backend->apply_program_panel(*ctx.backend_handle, ctx.programs->get<T>(), panel);
+  qsim::exec::PanelExecutor<T>{}.run(ctx.programs->get<T>(), panel);
 
   // Postselect every lane at once: BE ancillas and signal at |0>, the
   // real-part qubit at |1>.

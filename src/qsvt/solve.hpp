@@ -28,8 +28,8 @@
 #include "linalg/jacobi_svd.hpp"
 #include "linalg/matrix.hpp"
 #include "poly/inverse_poly.hpp"
-#include "qsim/exec/backend/backend.hpp"
 #include "qsim/exec/compile.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/exec/program.hpp"
 #include "qsim/noise.hpp"
 #include "qsp/symmetric_qsp.hpp"
@@ -69,14 +69,18 @@ struct QsvtOptions {
   /// shows why NISQ rates break the refinement contraction.
   qsim::NoiseModel noise = {};
   qsp::SymQspOptions qsp_options = {};
-  /// Execution backend replaying the compiled program (a name in
-  /// qsim::exec::backend_registry(), e.g. "reference"). Empty selects
-  /// the process default ("reference"); the service layer resolves
-  /// empty to its configured default before preparing a context. Distinct
-  /// from `backend` above, which picks gate-level vs matrix-function
-  /// *simulation*; this picks the kernel implementation under gate-level.
-  std::string exec_backend;
 };
+
+/// Stateless forwarder to `PanelExecutor<T>::run`, kept only for bench/e2e/probes.hpp.
+struct PanelReplayForwarder {
+  template <typename T>
+  static void apply_program_panel(const PanelReplayForwarder&,
+                                  const qsim::exec::Program<T>& program,
+                                  qsim::exec::StatePanel<T>& panel) {
+    qsim::exec::PanelExecutor<T>{}.run(program, panel);
+  }
+};
+inline constexpr PanelReplayForwarder kPanelReplayForwarder{};
 
 /// Everything computed once per matrix. After preparation the context is
 /// immutable: `qsvt_solve_direction` only reads it, so a single (shared)
@@ -102,13 +106,10 @@ struct QsvtSolverContext {
   /// Clean solves never re-interpret the gate list; only noise
   /// trajectories do.
   std::shared_ptr<qsim::exec::ProgramSet> programs;
-  /// The execution backend resolved from options.exec_backend (never null
-  /// for gate-level contexts) and its per-context handle. The handle owns
-  /// backend state scoped to this context (e.g. per-program plans) and is
-  /// internally synchronized, preserving the shared-const concurrency
-  /// contract.
-  const qsim::exec::ExecBackend* exec_backend = nullptr;
-  std::shared_ptr<qsim::exec::BackendHandle> backend_handle;
+  /// The replay probe's call shape (`ctx.exec_backend->apply_program_panel(
+  /// *ctx.backend_handle, ...)`); see PanelReplayForwarder.
+  static constexpr const PanelReplayForwarder* exec_backend = &kPanelReplayForwarder;
+  static constexpr const PanelReplayForwarder* backend_handle = &kPanelReplayForwarder;
   /// Gate count of SP(rhs) for this register size. The KP-tree circuit's
   /// structure depends only on the vector length, so it is counted once
   /// here; the clean gate-level path embeds rhs_unit directly into the

@@ -35,12 +35,6 @@ std::uint64_t hash_options(const qsvt::QsvtOptions& options) {
   h.u64(options.qsp_options.enable_lbfgs ? 1 : 0);
   h.f64(options.qsp_options.lbfgs_threshold);
   h.i64(options.qsp_options.max_lbfgs_iterations);
-  // The execution backend is part of the context identity: the prepared
-  // context holds a backend handle (and its per-program plans), so jobs on
-  // different backends must not share one. The service resolves an empty
-  // name to its configured default BEFORE hashing, keeping "default" and
-  // an explicit request for the same name on one cached context.
-  h.str(options.exec_backend);
   return h.digest();
 }
 

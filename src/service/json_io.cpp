@@ -90,9 +90,6 @@ Json options_to_json(const solver::QsvtIrOptions& o) {
   q["precision"] = precision_name(o.qsvt.precision);
   q["poly_method"] = poly_method_name(o.qsvt.poly_method);
   q["encoding"] = encoding_name(o.qsvt.encoding);
-  // The execution backend (registry name, e.g. "reference");
-  // omitted while empty so default-routed requests stay byte-stable.
-  if (!o.qsvt.exec_backend.empty()) q["exec_backend"] = o.qsvt.exec_backend;
   q["eps_l"] = o.qsvt.eps_l;
   q["kappa"] = o.qsvt.kappa;
   q["kappa_margin"] = o.qsvt.kappa_margin;
@@ -150,7 +147,6 @@ solver::QsvtIrOptions options_from_json(const Json& j) {
     o.qsvt.poly_method =
         poly_method_from(q.string_or("poly_method", poly_method_name(o.qsvt.poly_method)));
     o.qsvt.encoding = encoding_from(q.string_or("encoding", encoding_name(o.qsvt.encoding)));
-    o.qsvt.exec_backend = q.string_or("exec_backend", o.qsvt.exec_backend);
     o.qsvt.eps_l = q.number_or("eps_l", o.qsvt.eps_l);
     o.qsvt.kappa = q.number_or("kappa", o.qsvt.kappa);
     o.qsvt.kappa_margin = q.number_or("kappa_margin", o.qsvt.kappa_margin);
@@ -322,7 +318,6 @@ Json to_json(const SolveResult& result) {
   j["prepare_seconds"] = result.prepare_seconds;
   j["total_seconds"] = result.total_seconds;
   j["all_converged"] = result.all_converged;
-  if (!result.backend.empty()) j["backend"] = result.backend;
   j["panels_executed"] = static_cast<double>(result.panels_executed);
   j["panel_lanes"] = static_cast<double>(result.panel_lanes);
   if (result.shard_world > 1) {
@@ -355,7 +350,6 @@ SolveResult result_from_json(const Json& j) {
   r.prepare_seconds = j.at("prepare_seconds").as_number();
   r.total_seconds = j.at("total_seconds").as_number();
   r.all_converged = j.at("all_converged").as_bool();
-  if (j.contains("backend")) r.backend = j.at("backend").as_string();
   // Panel telemetry arrived after the trace format; old traces omit it.
   if (j.contains("panels_executed")) r.panels_executed = j.at("panels_executed").as_uint();
   if (j.contains("panel_lanes")) r.panel_lanes = j.at("panel_lanes").as_uint();
@@ -507,10 +501,6 @@ SolveRequest request_from_json(const Json& j, const MatrixResolver& resolve) {
   expects(!req.rhs.empty(), "json: request needs at least one rhs");
 
   if (j.contains("options")) req.options = options_from_json(j.at("options"));
-  // Top-level per-job execution-backend override — the ergonomic spelling
-  // clients and the coordinator's capability router both read. Wins over
-  // options.qsvt.exec_backend when both are present.
-  if (j.contains("backend")) req.options.qsvt.exec_backend = j.at("backend").as_string();
   if (j.contains("trace_id")) {
     expects(trace::TraceId::parse(j.at("trace_id").as_string(), req.trace_id),
             "json: trace_id must be 32 hex chars");
@@ -540,23 +530,6 @@ std::vector<SolveRequest> jobs_from_json(const Json& j) {
   std::vector<SolveRequest> jobs;
   for (const auto& job : j.at("jobs").as_array()) jobs.push_back(request_from_json(job));
   return jobs;
-}
-
-std::string requested_backend(const Json& job_body) {
-  if (!job_body.is_object()) return {};
-  if (job_body.contains("backend") && job_body.at("backend").is_string()) {
-    return job_body.at("backend").as_string();
-  }
-  if (job_body.contains("options") && job_body.at("options").is_object()) {
-    const Json& options = job_body.at("options");
-    if (options.contains("qsvt") && options.at("qsvt").is_object()) {
-      const Json& qsvt = options.at("qsvt");
-      if (qsvt.contains("exec_backend") && qsvt.at("exec_backend").is_string()) {
-        return qsvt.at("exec_backend").as_string();
-      }
-    }
-  }
-  return {};
 }
 
 Json trace_to_json(const trace::Trace& trace) {

@@ -43,13 +43,6 @@ SolveRequest request_from_json(const Json& j, const MatrixResolver& resolve = {}
 /// Parse a job file: {"jobs": [<request>, ...]}.
 std::vector<SolveRequest> jobs_from_json(const Json& j);
 
-/// The execution backend a job body requests: the top-level "backend"
-/// override wins, else the long-form options.qsvt.exec_backend, else ""
-/// (= the server's configured default). Pure peek — never throws on a
-/// malformed shape. The daemon validates the name at admission (400) and
-/// the coordinator routes on it without materializing the request.
-std::string requested_backend(const Json& job_body);
-
 // --- traces ----------------------------------------------------------------
 
 /// Flat span-list rendering of a trace — the body of

@@ -81,10 +81,6 @@ struct SolveResult {
   /// compiled-program panel sweeps and the RHS lanes they carried.
   std::uint64_t panels_executed = 0;
   std::uint64_t panel_lanes = 0;
-  /// The execution backend the job actually ran on — the resolved name,
-  /// never empty on a fresh result (a request's empty exec_backend becomes
-  /// the service's configured default here).
-  std::string backend;
   /// Distributed-execution telemetry, all zero for single-node jobs:
   /// this rank's shard placement and what the job's exchange plan cost.
   /// JSON-only (emitted when shard_world > 1); the binary result codec

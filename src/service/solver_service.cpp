@@ -8,7 +8,6 @@
 
 #include "common/contracts.hpp"
 #include "common/timer.hpp"
-#include "qsim/exec/backend/backend.hpp"
 #include "qsvt/dist_solve.hpp"
 
 namespace mpqls::service {
@@ -80,18 +79,11 @@ SolveResult SolverService::solve(const SolveRequest& request) {
     expects(b.size() == A.rows(), "service: rhs dimension mismatch");
   }
 
-  // Resolve the execution backend BEFORE fingerprinting: an empty name
-  // becomes the configured default here, so default-routed jobs and jobs
-  // that name the default explicitly share one cached context. Unknown or
-  // disabled names throw (the daemon pre-validates at admission and
-  // answers 400; direct callers get the same contract message).
-  solver::QsvtIrOptions options = req->options;
-  options.qsvt.exec_backend = resolve_backend(options.qsvt.exec_backend);
+  const solver::QsvtIrOptions& options = req->options;
 
   Timer total;
   SolveResult result;
   result.id = request.id;
-  result.backend = options.qsvt.exec_backend;
   // A by-ref submit skips the O(n^2) matrix hash: the ref IS that hash.
   result.fp.matrix_hash = req->matrix_ref != 0 ? req->matrix_ref : hash_matrix(A);
   result.fp.options_hash = hash_options(options.qsvt);
@@ -284,11 +276,6 @@ SolveResult SolverService::solve(const SolveRequest& request) {
       stats_.program_compile_seconds_total += rep0.program_compile_seconds;
       stats_.program_ops_total += rep0.program_ops;
     }
-    auto& backend_stats = stats_.backends[result.backend];
-    ++backend_stats.jobs;
-    backend_stats.rhs_solved += result.solves.size();
-    backend_stats.panels += result.panels_executed;
-    for (const auto& s : result.solves) backend_stats.replays += s.report.solves.size();
     if (dist_session) {
       const auto& ds = dist_session->stats();
       ++stats_.dist.jobs;
@@ -509,30 +496,6 @@ SolverService::Stats SolverService::stats() const {
 SolverService::QueueStats SolverService::queue_stats() const {
   std::lock_guard<std::mutex> lock(registry_mutex_);
   return queue_stats_;
-}
-
-std::vector<std::string> SolverService::enabled_backends() const {
-  std::vector<std::string> names;
-  for (const auto& name : qsim::exec::backend_registry().names()) {
-    if (options_.enabled_backends.empty() ||
-        std::find(options_.enabled_backends.begin(), options_.enabled_backends.end(), name) !=
-            options_.enabled_backends.end()) {
-      names.push_back(name);
-    }
-  }
-  return names;
-}
-
-std::string SolverService::resolve_backend(const std::string& requested) const {
-  const std::string& name = requested.empty() ? options_.default_backend : requested;
-  expects(qsim::exec::find_backend(name) != nullptr,
-          "service: unknown execution backend");
-  if (!options_.enabled_backends.empty()) {
-    expects(std::find(options_.enabled_backends.begin(), options_.enabled_backends.end(), name) !=
-                options_.enabled_backends.end(),
-            "service: execution backend disabled on this instance");
-  }
-  return name;
 }
 
 }  // namespace mpqls::service

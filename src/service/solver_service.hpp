@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -66,15 +65,6 @@ struct ServiceOptions {
   /// by total (queue + run) latency are retained for GET /v1/debug/slow.
   /// 0 disables the recorder.
   std::size_t slow_jobs_retained = 8;
-  /// Execution backend for jobs that do not name one (top-level "backend"
-  /// in the job JSON / QsvtOptions::exec_backend): a name registered in
-  /// qsim::exec::backend_registry(). Must itself be in the enabled set.
-  std::string default_backend = "reference";
-  /// Backends this instance admits and advertises through /v1/healthz.
-  /// Empty = every backend in the process registry. Jobs naming a backend
-  /// outside this set are rejected (the daemon answers 400) — also the
-  /// knob cluster tests use to give workers heterogeneous capabilities.
-  std::vector<std::string> enabled_backends;
   /// Hard cap on the LOCAL statevector width (qubits) a gate-level job may
   /// allocate here — the single-node memory wall a shard group breaks: a
   /// W = 2^k group stores k of the circuit's qubits in the rank index, so
@@ -205,18 +195,6 @@ class SolverService {
     std::array<std::uint64_t, 3> tier_solves_total{};
     std::array<std::uint64_t, 3> tier_iterations_total{};
     std::uint64_t precision_switches_total = 0;
-    /// Per-execution-backend telemetry, keyed by the RESOLVED backend name
-    /// (an empty request name lands under the configured default).
-    /// `replays` counts compiled-program applications: one per QSVT solve
-    /// in every RHS report, so refinement iterations and adaptive
-    /// escalations all show up in the per-backend load picture.
-    struct BackendStats {
-      std::uint64_t jobs = 0;
-      std::uint64_t rhs_solved = 0;
-      std::uint64_t replays = 0;
-      std::uint64_t panels = 0;  ///< panel sweeps executed on this backend
-    };
-    std::map<std::string, BackendStats> backends;
     /// Distributed shard-group telemetry (the mpqls_dist_* series),
     /// accumulated from each dist job's session stats.
     struct DistStats {
@@ -232,17 +210,6 @@ class SolverService {
     DistStats dist;
   };
   Stats stats() const;
-
-  /// The backend names this instance admits, in process-registry order:
-  /// the intersection of the registry with options.enabled_backends (the
-  /// whole registry when that list is empty). What /v1/healthz advertises.
-  std::vector<std::string> enabled_backends() const;
-
-  /// Resolve a job's requested backend (empty = configured default)
-  /// against the enabled set. Throws ContractError for names that are
-  /// unknown to the registry or disabled here — the daemon calls this at
-  /// admission so such jobs die with a 400 instead of a failed job.
-  std::string resolve_backend(const std::string& requested) const;
 
   /// Registry accounting for the async path (all counters cumulative,
   /// depths instantaneous).

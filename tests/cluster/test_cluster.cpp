@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "../support/delegate_backend.hpp"
 #include "common/json.hpp"
 #include "common/trace.hpp"
 #include "net/http_client.hpp"
@@ -357,82 +356,6 @@ TEST(Cluster, MetricsAggregateWorkerFamiliesAndRoutingGauges) {
   EXPECT_NE(text.find("mpqls_jobs_accepted_total{worker=\"w1\"}"), std::string::npos);
   EXPECT_EQ(text.find("# TYPE mpqls_jobs_accepted_total"),
             text.rfind("# TYPE mpqls_jobs_accepted_total"));
-  cluster.stop();
-}
-
-/// A job that names an execution backend (gate-level so the backend
-/// actually replays programs).
-std::string backend_job_json(const std::string& label, const std::string& backend) {
-  Json j = Json::parse(job_json(7, label));
-  j["backend"] = backend;
-  j["options"]["qsvt"]["backend"] = "gate";
-  return j.dump();
-}
-
-/// Poll the coordinator's healthz until every worker's probed backend
-/// list is non-empty (capability routing only filters on workers whose
-/// last probe reported capabilities).
-void wait_for_backend_probes(net::HttpClient& client, std::size_t workers,
-                             std::chrono::seconds timeout = 30s) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const auto health = Json::parse(client.get("/v1/healthz").body);
-    if (health.contains("worker_backends")) {
-      const auto& per_worker = health.at("worker_backends").as_object();
-      std::size_t probed = 0;
-      for (const auto& [id, names] : per_worker) {
-        if (!names.as_array().empty()) ++probed;
-      }
-      if (probed == workers) return;
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      ADD_FAILURE() << "timed out waiting for backend probes";
-      return;
-    }
-    std::this_thread::sleep_for(20ms);
-  }
-}
-
-TEST(Cluster, BackendRoutingExcludesWorkersLackingTheCapability) {
-  const std::string delegate = test::register_delegate_backend();
-  auto options = small_cluster(2);
-  // Worker 0 enables only the reference backend; worker 1 runs everything.
-  options.worker_backends = {{"reference"}, {}};
-  TestCluster cluster(options);
-  net::HttpClient client("127.0.0.1", cluster.port());
-  wait_for_backend_probes(client, cluster.worker_count());
-
-  // Every delegate-backend job must land on worker 1, regardless of where
-  // rendezvous affinity would have put it.
-  std::vector<std::string> ids;
-  for (int i = 0; i < 4; ++i) {
-    ids.push_back(submit_ok(client, backend_job_json("dlg-" + std::to_string(i), delegate)));
-  }
-  for (const auto& id : ids) {
-    EXPECT_EQ(poll_until_terminal(client, id).at("state").as_string(), "done");
-  }
-  const auto w0 = cluster.worker(0).service().cache_stats();
-  const auto w1 = cluster.worker(1).service().cache_stats();
-  EXPECT_EQ(w0.hits + w0.misses, 0u) << "incapable worker saw a delegate-backend job";
-  EXPECT_GT(w1.hits + w1.misses, 0u);
-  cluster.stop();
-}
-
-TEST(Cluster, AllWorkersLackingTheBackendAnswer503) {
-  const std::string delegate = test::register_delegate_backend();
-  auto options = small_cluster(2);
-  options.worker_backends = {{"reference"}, {"reference"}};
-  TestCluster cluster(options);
-  net::HttpClient client("127.0.0.1", cluster.port());
-  wait_for_backend_probes(client, cluster.worker_count());
-
-  const auto response = client.post("/v1/jobs", backend_job_json("nowhere", delegate));
-  EXPECT_EQ(response.status, 503) << response.body;
-  EXPECT_NE(response.body.find(delegate), std::string::npos) << response.body;
-
-  // The same job without the backend override still routes fine.
-  const auto id = submit_ok(client, job_json(7, "default-ok"));
-  EXPECT_EQ(poll_until_terminal(client, id).at("state").as_string(), "done");
   cluster.stop();
 }
 

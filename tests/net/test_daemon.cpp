@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "../support/delegate_backend.hpp"
 #include "common/json.hpp"
 #include "common/trace.hpp"
 #include "net/http_client.hpp"
@@ -530,79 +529,50 @@ TEST(SolverDaemon, ListingIsBoundedNewestFirstWithQueryLimit) {
   daemon.drain(5000ms);
 }
 
-TEST(SolverDaemon, HealthzAdvertisesBackendCapabilities) {
-  const std::string delegate = test::register_delegate_backend();
+TEST(SolverDaemon, RetiredBackendKeysAreIgnored) {
   SolverDaemon daemon(loopback_options());
   daemon.start();
   HttpClient client("127.0.0.1", daemon.port());
 
-  const auto health = Json::parse(client.get("/v1/healthz").body);
-  EXPECT_EQ(health.at("default_backend").as_string(), "reference");
-  const auto& backends = health.at("backends").as_array();
-  std::set<std::string> names;
-  for (const auto& b : backends) {
-    names.insert(b.at("name").as_string());
-    // Every advertised backend carries a full capability descriptor.
-    EXPECT_FALSE(b.at("precisions").as_array().empty()) << b.at("name").as_string();
-    EXPECT_FALSE(b.at("panel_widths").as_array().empty()) << b.at("name").as_string();
-    EXPECT_GT(b.at("max_qubits").as_number(), 0.0);
-  }
-  EXPECT_TRUE(names.count("reference")) << "built-in reference backend missing";
-  EXPECT_TRUE(names.count(delegate)) << "registered delegate backend missing";
-  daemon.drain(5000ms);
-}
-
-TEST(SolverDaemon, UnknownBackendIsRejectedSynchronouslyWith400) {
-  const std::string delegate = test::register_delegate_backend();
-  SolverDaemon daemon(loopback_options());
-  daemon.start();
-  HttpClient client("127.0.0.1", daemon.port());
-
-  // Top-level short-form override.
-  constexpr const char* kUnknownBackend = R"({
-    "id": "bad-backend",
-    "backend": "imaginary-gpu",
+  // Replay has one implementation, so the top-level "backend" and the
+  // long-form options.qsvt.exec_backend keys are unknown keys now: a job
+  // carrying them is admitted and solves exactly like the job without.
+  constexpr const char* kPlainJob = R"({
+    "id": "plain",
     "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
-    "options": {"eps": 1e-9, "qsvt": {"backend": "matrix", "eps_l": 1e-2}}
-  })";
-  auto response = client.post("/v1/jobs", kUnknownBackend);
-  EXPECT_EQ(response.status, 400);
-  EXPECT_NE(response.body.find("unknown execution backend"), std::string::npos)
-      << response.body;
-
-  // Long-form options.qsvt.exec_backend takes the same admission path.
-  constexpr const char* kUnknownExecBackend = R"({
-    "id": "bad-exec-backend",
-    "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
-    "options": {"eps": 1e-9,
-                "qsvt": {"backend": "gate", "eps_l": 1e-2,
-                         "exec_backend": "imaginary-gpu"}}
-  })";
-  response = client.post("/v1/jobs", kUnknownExecBackend);
-  EXPECT_EQ(response.status, 400);
-  EXPECT_NE(response.body.find("unknown execution backend"), std::string::npos)
-      << response.body;
-
-  // A known non-default backend sails through admission, runs the job,
-  // and the per-backend metric families pick it up.
-  const std::string delegate_job = R"({
-    "id": "delegate-backend",
-    "backend": ")" + delegate + R"(",
-    "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
+    "rhs": {"kind": "random", "count": 2, "seed": 3},
     "options": {"eps": 1e-9, "qsvt": {"backend": "gate", "eps_l": 1e-2}}
   })";
-  const auto status = poll_until_terminal(client, submit(client, delegate_job));
-  EXPECT_EQ(status.at("state").as_string(), "done") << status.dump();
+  constexpr const char* kRetiredKeysJob = R"({
+    "id": "retired-keys",
+    "backend": "reference",
+    "matrix": {"scenario": "poisson1d", "n": 8},
+    "rhs": {"kind": "random", "count": 2, "seed": 3},
+    "options": {"eps": 1e-9,
+                "qsvt": {"backend": "gate", "eps_l": 1e-2, "exec_backend": "imaginary-gpu"}}
+  })";
+  const auto plain = poll_until_terminal(client, submit(client, kPlainJob));
+  const auto retired = poll_until_terminal(client, submit(client, kRetiredKeysJob));
+  ASSERT_EQ(plain.at("state").as_string(), "done") << plain.dump();
+  ASSERT_EQ(retired.at("state").as_string(), "done") << retired.dump();
 
-  const std::string metrics = client.get("/v1/metrics").body;
-  EXPECT_NE(metrics.find("mpqls_backend_jobs_total{backend=\"" + delegate + "\"} 1"),
-            std::string::npos)
-      << metrics;
-  EXPECT_NE(metrics.find("mpqls_backend_default_info{backend=\"reference\"} 1"),
-            std::string::npos);
+  const Json& result = retired.at("result");
+  EXPECT_FALSE(result.contains("backend"));
+  // The same options fingerprint: the second job is served from the
+  // context the first one prepared.
+  EXPECT_TRUE(result.at("cache_hit").as_bool());
+  const auto& want = plain.at("result").at("solves").as_array();
+  const auto& got = result.at("solves").as_array();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].at("report").at("x").dump(), want[k].at("report").at("x").dump())
+        << "solve " << k;
+  }
+
+  const auto health = Json::parse(client.get("/v1/healthz").body);
+  for (const auto& [key, value] : health.as_object()) {
+    EXPECT_EQ(key.find("backend"), std::string::npos) << "healthz still has " << key;
+  }
   daemon.drain(5000ms);
 }
 

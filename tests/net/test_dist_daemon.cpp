@@ -6,7 +6,8 @@
 // dist telemetry must surface in the result JSON, /v1/healthz and
 // /v1/metrics, and the memory-wall contract must hold over HTTP: a
 // qubit-capped daemon answers 413 for a too-wide single-node job yet
-// completes the same job as a member of a 4-worker shard group.
+// completes the same job as a member of a 4-worker shard group, and its
+// width estimate never wedges the event loop on absurd dimensions.
 #include "net/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -189,6 +190,40 @@ TEST(DistDaemon, QubitCapAnswers413UntilTheGroupIsLargeEnough) {
     EXPECT_EQ(statuses[r].at("result").at("dist").at("shard_world").as_uint(), 4u);
   }
   for (auto& daemon : daemons) daemon->drain(5000ms);
+}
+
+TEST(DistDaemon, QubitCapAdmissionSurvivesOverflowingDimensions) {
+  // The admission-time width estimate must not loop on dimensions near
+  // 2^64 (a bare "n", or an nx * ny product that overflows): both jobs
+  // get their admission answer inside a short read deadline, fail on
+  // materialization with the dimension-cap message, and the event loop
+  // keeps answering.
+  SolverDaemon daemon(worker_options(/*qubit_cap=*/5));
+  daemon.start();
+  Deadlines deadlines;
+  deadlines.read = 2000ms;
+  HttpClient client("127.0.0.1", daemon.port(), deadlines);
+
+  const char* const kBodies[] = {
+      R"({"id": "huge-n",
+          "matrix": {"scenario": "random", "n": 18446744073709549568, "kappa": 10, "seed": 1},
+          "rhs": {"kind": "random", "count": 1, "seed": 2}})",
+      R"({"id": "huge-grid",
+          "matrix": {"scenario": "poisson2d", "nx": 4294967295, "ny": 4294967295},
+          "rhs": {"kind": "random", "count": 1, "seed": 2}})",
+  };
+  for (const char* body : kBodies) {
+    HttpClient::Response admitted;
+    ASSERT_NO_THROW(admitted = client.post("/v1/jobs", body)) << "no admission answer";
+    ASSERT_EQ(admitted.status, 202) << admitted.body;
+    const auto status =
+        poll_done(client, Json::parse(admitted.body).at("job_id").as_string(), 10s);
+    EXPECT_EQ(status.at("state").as_string(), "failed") << status.dump();
+    EXPECT_NE(status.at("error").as_string().find("dimension"), std::string::npos)
+        << status.dump();
+  }
+  EXPECT_EQ(client.get("/v1/healthz").status, 200);
+  daemon.drain(5000ms);
 }
 
 TEST(DistDaemon, ShardExchangeRouteValidatesItsInput) {
