@@ -95,6 +95,42 @@ struct Coordinator::Worker {
   bool probe_ok = true;
 };
 
+Coordinator::WorkerCall Coordinator::call_worker(
+    Worker& worker, const std::function<bool(Worker&)>& admit,
+    const std::function<net::HttpClient::Response(net::HttpClient&)>& send) {
+  WorkerCall call;
+  {
+    std::lock_guard<std::mutex> lock(worker.mutex);
+    if (admit && !admit(worker)) return call;
+    ++worker.in_flight;
+  }
+  call.admitted = true;
+  {
+    auto lease = worker.pool.acquire();
+    try {
+      call.response = send(*lease);
+      call.ok = true;
+    } catch (const std::exception& e) {
+      // Broader than HttpError on purpose: wait_fd can throw
+      // std::system_error on poll failure, and ANY exception here must
+      // still discard the mid-exchange client, settle in_flight, and
+      // release a latched half-open trial — or the worker is excluded
+      // forever and the poisoned connection returns to the pool.
+      lease.discard();
+      call.error = e.what();
+    }
+  }
+  std::lock_guard<std::mutex> lock(worker.mutex);
+  --worker.in_flight;
+  if (call.ok) {
+    worker.breaker.record_success();
+  } else {
+    worker.breaker.record_failure(std::chrono::steady_clock::now());
+    ++worker.transport_failures;
+  }
+  return call;
+}
+
 Coordinator::Coordinator(CoordinatorOptions options)
     : options_(std::move(options)),
       ring_([&] {
@@ -298,52 +334,21 @@ HttpResponse Coordinator::do_submit(const HttpRequest& request) {
   HttpResponse saturated_response;
   for (const std::size_t index : order) {
     Worker& worker = *workers_[index];
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      if (!worker.breaker.allow(std::chrono::steady_clock::now())) {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.retries;
-        continue;  // breaker open: excluded without burning a connect
-      }
-      ++worker.in_flight;
-    }
-
-    net::HttpClient::Response response;
-    bool transport_ok = false;
-    std::string transport_error;
-    {
-      auto lease = worker.pool.acquire();
-      try {
-        ++attempts;
-        response = lease->post("/v1/jobs", request.body, forward_type, trace_header);
-        transport_ok = true;
-      } catch (const std::exception& e) {
-        // Broader than HttpError on purpose: wait_fd can throw
-        // std::system_error on poll failure, and ANY exception here must
-        // still discard the mid-exchange client, settle in_flight, and
-        // release a latched half-open trial — or the worker is excluded
-        // forever and the poisoned connection returns to the pool.
-        lease.discard();
-        transport_error = e.what();
-      }
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      --worker.in_flight;
-      if (transport_ok) {
-        worker.breaker.record_success();
-      } else {
-        worker.breaker.record_failure(std::chrono::steady_clock::now());
-        ++worker.transport_failures;
-      }
-    }
-
-    if (!transport_ok) {
+    const auto call = call_worker(
+        worker,
+        [](Worker& w) { return w.breaker.allow(std::chrono::steady_clock::now()); },
+        [&](net::HttpClient& client) {
+          ++attempts;
+          return client.post("/v1/jobs", request.body, forward_type, trace_header);
+        });
+    if (!call.ok) {
+      // Breaker open (excluded without burning a connect) or transport
+      // failure: next ring candidate, this worker excluded.
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.retries;  // next ring candidate, this worker excluded
+      ++stats_.retries;
       continue;
     }
+    const auto& response = call.response;
 
     if (response.status == 202) {
       std::string worker_job_id;
@@ -499,34 +504,16 @@ HttpResponse Coordinator::do_submit_dist(const HttpRequest& request, const Json&
     body["shard"] = std::move(shard);
 
     Worker& worker = *workers_[members[rank]];
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      ++worker.in_flight;
+    // No admission check: membership already filtered on health.
+    const auto call = call_worker(worker, nullptr, [&](net::HttpClient& client) {
+      return client.post("/v1/jobs", body.dump(), "application/json", trace_header);
+    });
+    if (!call.ok) {
+      failure = "rank " + std::to_string(rank) + " (" + worker.endpoint.id +
+                ") unreachable: " + call.error;
+      break;
     }
-    net::HttpClient::Response response;
-    bool transport_ok = false;
-    {
-      auto lease = worker.pool.acquire();
-      try {
-        response = lease->post("/v1/jobs", body.dump(), "application/json", trace_header);
-        transport_ok = true;
-      } catch (const std::exception& e) {  // see do_submit: settle state on ANY throw
-        lease.discard();
-        failure = "rank " + std::to_string(rank) + " (" + worker.endpoint.id +
-                  ") unreachable: " + e.what();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      --worker.in_flight;
-      if (transport_ok) {
-        worker.breaker.record_success();
-      } else {
-        worker.breaker.record_failure(std::chrono::steady_clock::now());
-        ++worker.transport_failures;
-      }
-    }
-    if (!transport_ok) break;
+    const auto& response = call.response;
     if (response.status != 202) {
       failure = "rank " + std::to_string(rank) + " (" + worker.endpoint.id +
                 ") refused admission with status " + std::to_string(response.status);
@@ -647,44 +634,23 @@ HttpResponse Coordinator::do_job_request(const HttpRequest& request,
   const auto [index, worker_job_id] = *route;
   Worker& worker = *workers_[index];
 
-  {
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    if (worker.breaker.state(std::chrono::steady_clock::now()) == BreakerState::kOpen) {
-      return error_json(502, "worker " + worker.endpoint.id + " is unavailable (breaker open)");
-    }
-    ++worker.in_flight;
-  }
-
-  net::HttpClient::Response response;
-  bool transport_ok = false;
-  std::string transport_error;
-  {
-    auto lease = worker.pool.acquire();
-    try {
-      const std::string target = "/v1/jobs/" + worker_job_id + suffix;
-      // Forward Accept so a client can pull the binary result encoding
-      // straight through the proxy.
-      net::HeaderList extra;
-      if (const std::string* accept = request.header("Accept")) {
-        extra.emplace_back("Accept", *accept);
-      }
-      response = is_cancel ? lease->del(target) : lease->get(target, extra);
-      transport_ok = true;
-    } catch (const std::exception& e) {  // see do_submit: must settle state on ANY throw
-      lease.discard();
-      transport_error = e.what();
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(worker.mutex);
-    --worker.in_flight;
-    if (transport_ok) {
-      worker.breaker.record_success();
-    } else {
-      worker.breaker.record_failure(std::chrono::steady_clock::now());
-      ++worker.transport_failures;
-    }
+  const auto call = call_worker(
+      worker,
+      [](Worker& w) {
+        return w.breaker.state(std::chrono::steady_clock::now()) != BreakerState::kOpen;
+      },
+      [&](net::HttpClient& client) {
+        const std::string target = "/v1/jobs/" + worker_job_id + suffix;
+        // Forward Accept so a client can pull the binary result encoding
+        // straight through the proxy.
+        net::HeaderList extra;
+        if (const std::string* accept = request.header("Accept")) {
+          extra.emplace_back("Accept", *accept);
+        }
+        return is_cancel ? client.del(target) : client.get(target, extra);
+      });
+  if (!call.admitted) {
+    return error_json(502, "worker " + worker.endpoint.id + " is unavailable (breaker open)");
   }
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -695,10 +661,10 @@ HttpResponse Coordinator::do_job_request(const HttpRequest& request,
     }
   }
 
-  if (!transport_ok) {
-    return error_json(502, "worker " + worker.endpoint.id + " unreachable: " + transport_error);
+  if (!call.ok) {
+    return error_json(502, "worker " + worker.endpoint.id + " unreachable: " + call.error);
   }
-  HttpResponse out = mirror(response);
+  HttpResponse out = mirror(call.response);
   out.body = rewrite_job_id(std::move(out.body), worker_job_id, cluster_id);
   return out;
 }
@@ -781,36 +747,14 @@ HttpResponse Coordinator::do_upload(const HttpRequest& request) {
   bool have_primary = false;
   HttpResponse primary;
   for (const std::size_t index : ring_.candidates(key)) {
-    Worker& worker = *workers_[index];
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      if (!worker.breaker.allow(std::chrono::steady_clock::now())) continue;
-      ++worker.in_flight;
-    }
-
-    net::HttpClient::Response response;
-    bool transport_ok = false;
-    {
-      auto lease = worker.pool.acquire();
-      try {
-        response = lease->put("/v1/matrices", request.body, forward_type);
-        transport_ok = true;
-      } catch (const std::exception&) {  // see do_submit: settle state on ANY throw
-        lease.discard();
-      }
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      --worker.in_flight;
-      if (transport_ok) {
-        worker.breaker.record_success();
-      } else {
-        worker.breaker.record_failure(std::chrono::steady_clock::now());
-        ++worker.transport_failures;
-      }
-    }
-    if (!transport_ok) continue;
+    const auto call = call_worker(
+        *workers_[index],
+        [](Worker& w) { return w.breaker.allow(std::chrono::steady_clock::now()); },
+        [&](net::HttpClient& client) {
+          return client.put("/v1/matrices", request.body, forward_type);
+        });
+    if (!call.ok) continue;
+    const auto& response = call.response;
 
     if (response.status >= 400 && response.status < 500) {
       return mirror(response);  // deterministic rejection: don't spread it

@@ -46,6 +46,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -174,6 +175,21 @@ class Coordinator {
   net::HttpResponse do_list(const net::HttpRequest& request);
   net::HttpResponse do_upload(const net::HttpRequest& request);
   net::HttpResponse healthz_now();
+
+  /// Outcome of one guarded call to a worker.
+  struct WorkerCall {
+    bool admitted = false;  ///< false: `admit` refused and nothing was sent
+    bool ok = false;        ///< the request/response exchange completed
+    net::HttpClient::Response response;
+    std::string error;      ///< the transport failure when admitted && !ok
+  };
+  /// Every request the coordinator sends a worker goes through here.
+  /// Under the worker's lock, run the call site's admission check `admit`
+  /// (null = none) and count the call in `in_flight`; lease a pooled
+  /// client for `send`, discarding it on ANY throw; then settle
+  /// `in_flight` and the breaker (success, or failure + transport count).
+  WorkerCall call_worker(Worker& worker, const std::function<bool(Worker&)>& admit,
+                         const std::function<net::HttpClient::Response(net::HttpClient&)>& send);
 
   /// What the routing table remembers per cluster job id: the worker it
   /// landed on, plus the coordinator-side trace whose proxy span the

@@ -138,7 +138,8 @@ SolverDaemon::SolverDaemon(DaemonOptions options)
         if (!s.shard_channel) {
           s.shard_channel = [this](const service::ShardSpec& shard) {
             return std::static_pointer_cast<qsim::exec::dist::PeerChannel>(
-                std::make_shared<HttpPeerChannel>(shard, shard_hub_));
+                std::make_shared<HttpPeerChannel>(shard, shard_hub_,
+                                                  options_.limits.max_body_bytes));
           };
         }
         return s;

@@ -4,16 +4,27 @@
 #include <string_view>
 
 #include "common/contracts.hpp"
+#include "net/http.hpp"
 #include "wire/codec.hpp"
 
 namespace mpqls::net {
 
 namespace dist = qsim::exec::dist;
 
+// A channel that does not report its cap is sized for a daemon left at
+// its default request-body cap.
+static_assert(dist::kExchangeBodyCapBytes == ParseLimits{}.max_body_bytes,
+              "default shard body cap must track the default HTTP body cap");
+static_assert(wire::kFrameHeaderBytes + 3 * sizeof(std::uint64_t) + sizeof(std::uint32_t) <=
+                  dist::kExchangeEnvelopeBytes,
+              "shard frame envelope outgrew its reserve");
+
 HttpPeerChannel::HttpPeerChannel(service::ShardSpec shard, dist::ShardHub& hub,
-                                 Deadlines deadlines, std::chrono::milliseconds await_timeout)
+                                 std::size_t body_cap, Deadlines deadlines,
+                                 std::chrono::milliseconds await_timeout)
     : shard_(std::move(shard)),
       hub_(hub),
+      body_cap_(body_cap),
       deadlines_(deadlines),
       await_timeout_(await_timeout),
       clients_(shard_.peers.size()) {

@@ -27,10 +27,12 @@ namespace mpqls::net {
 class HttpPeerChannel : public qsim::exec::dist::PeerChannel {
  public:
   /// `shard` names this rank's place in the group; `hub` must outlive the
-  /// channel (the daemon owns both). `await_timeout` bounds how long an
-  /// exchange waits for the peer's mirrored frame.
+  /// channel (the daemon owns both). `body_cap` is the daemon's own
+  /// request-body cap, the largest frame its peers may send it.
+  /// `await_timeout` bounds how long an exchange waits for the peer's
+  /// mirrored frame.
   HttpPeerChannel(service::ShardSpec shard, qsim::exec::dist::ShardHub& hub,
-                  Deadlines deadlines = {},
+                  std::size_t body_cap, Deadlines deadlines = {},
                   std::chrono::milliseconds await_timeout = std::chrono::milliseconds(60000));
   ~HttpPeerChannel() override;
 
@@ -39,12 +41,14 @@ class HttpPeerChannel : public qsim::exec::dist::PeerChannel {
 
   void exchange(std::uint32_t peer, std::uint64_t seq, const void* send, void* recv,
                 std::size_t bytes) override;
+  std::size_t body_cap_bytes() const override { return body_cap_; }
 
  private:
   HttpClient& client_for(std::uint32_t peer);
 
   service::ShardSpec shard_;
   qsim::exec::dist::ShardHub& hub_;
+  std::size_t body_cap_;
   Deadlines deadlines_;
   std::chrono::milliseconds await_timeout_;
   std::vector<std::unique_ptr<HttpClient>> clients_;  ///< per peer rank, lazy

@@ -14,9 +14,9 @@
 //                The executor runs it on a widened 2^(m+h) register
 //                assembled from the 2^h partner shards (h pairwise
 //                butterfly rounds), with the partition targets remapped to
-//                qubits m..m+h-1, through the same panel kernels local ops
-//                use. Costs h exchange rounds and (2^h - 1) shard
-//                volumes of traffic.
+//                qubits m..m+h-1, through the same PanelExecutor call local
+//                runs use. Costs h exchange rounds and (2^h - 1) shard
+//                volumes of traffic per sweep, whatever the lane count.
 //
 // The scheduling pass then shrinks the exchange count without perturbing
 // per-amplitude *values*:
@@ -32,25 +32,25 @@
 //     set whose entries are D's entries at the X-permuted index, so every
 //     amplitude sees the identical multiplier sequence. This is the QSVT
 //     phase-gadget shape (CPiX · Rz · CRz · CPiX) when compiled without
-//     fusion: 2 exchange rounds per gadget collapse to 0, and the 2d+1
-//     local runs between them collapse into one.
+//     fusion, and the controlled-X conjugations the gate-level
+//     tridiagonal and LCU encodings keep after default fusion: 2
+//     exchange rounds per sandwich collapse to 0, and the local runs
+//     between them collapse into one.
 //
-// Bitwise parity: replaying a plan reproduces a single-node one-lane
-// panel replay of the same FusedIr *bit for bit* whenever no op changed
-// kernel class, i.e. stats.demoted_diagonal == 0 and conjugated_ops == 0
-// — local ops, payload-sliced diagonals, and widened exchange ops all run
-// through the identical kernel instantiation on identical values. That
-// covers the production path: default fusion compiles QSVT/HHL gadgets to
-// kDiagonal windows up front, so neither rewrite fires. When a rewrite
-// does fire (an unfused gate stream), the multiplier values are copied
-// exactly but the multiply routes through the diagonal kernel instead of
-// the 1q/dense kernel, whose FMA contraction may differ in the last ulp.
+// Bitwise parity: replaying a plan on B-lane shard panels reproduces a
+// single-node B-lane panel replay *bit for bit* whenever no op changed
+// kernel class (stats.demoted_diagonal == 0 and conjugated_ops == 0):
+// every op runs through the identical kernel instantiation on identical
+// values. That covers the dense-embedding production path. When a
+// rewrite fires, the multiplier values are copied exactly but route
+// through the diagonal kernel instead of the 1q/dense kernel, whose FMA
+// contraction may differ in the last ulp.
 //
 // `naive_rounds` counts the rounds a classification-blind schedule pays
 // (one pairwise round per partition-qubit reference of every op, controls
 // included); `scheduled_rounds` is what the plan actually executes. The
 // pass asserts nothing itself — tests and bench/perf_dist_scaling compare
-// the two.
+// them, and the classify-only plan ({.schedule = false}), against it.
 #pragma once
 
 #include <cstdint>

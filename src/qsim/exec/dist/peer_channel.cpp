@@ -1,5 +1,6 @@
 #include "qsim/exec/dist/peer_channel.hpp"
 
+#include <algorithm>
 #include <tuple>
 #include <utility>
 
@@ -23,6 +24,17 @@ void allreduce_sum(PeerChannel& channel, std::uint32_t rank, std::uint32_t world
       for (std::size_t i = 0; i < count; ++i) data[i] = recv[i] + data[i];
     }
   }
+}
+
+std::size_t group_body_cap(PeerChannel& channel, std::uint32_t rank, std::uint32_t world_log2,
+                           std::uint64_t& seq) {
+  // Caps travel as doubles; 2^52 bytes is far past any request body and
+  // keeps every value exactly representable.
+  constexpr std::size_t kExact = std::size_t{1} << 52;
+  std::vector<double> caps(std::size_t{1} << world_log2, 0.0);
+  caps[rank] = static_cast<double>(std::min(channel.body_cap_bytes(), kExact));
+  allreduce_sum(channel, rank, world_log2, seq, caps.data(), caps.size());
+  return static_cast<std::size_t>(*std::min_element(caps.begin(), caps.end()));
 }
 
 // ---------------------------------------------------------------------------

@@ -41,9 +41,22 @@ class DistTransportError : public std::runtime_error {
       : std::runtime_error("dist: " + what) {}
 };
 
+/// Largest exchange request body (envelope included) a receiving endpoint
+/// accepts unless it reports otherwise: the daemon's default request-body
+/// cap (net::ParseLimits; net/shard_exchange.cpp pins the two together
+/// with a static_assert).
+inline constexpr std::size_t kExchangeBodyCapBytes = std::size_t{8} << 20;
+/// Frame envelope around the amplitude payload (frame header + group,
+/// rank, seq and length fields), rounded up.
+inline constexpr std::size_t kExchangeEnvelopeBytes = 64;
+
 class PeerChannel {
  public:
   virtual ~PeerChannel() = default;
+
+  /// Largest exchange request body this rank's receive side accepts. Ranks
+  /// may differ; group_body_cap agrees on the group's smallest.
+  virtual std::size_t body_cap_bytes() const { return kExchangeBodyCapBytes; }
 
   /// Full-duplex pairwise swap with `peer`: ship `bytes` from `send`,
   /// block until the peer's matching exchange (same seq, mirrored ranks,
@@ -62,6 +75,12 @@ class PeerChannel {
 /// advanced once per stage.
 void allreduce_sum(PeerChannel& channel, std::uint32_t rank, std::uint32_t world_log2,
                    std::uint64_t& seq, double* data, std::size_t count);
+
+/// The smallest body_cap_bytes() over all W = 2^k ranks, identical on
+/// every rank: one allreduce_sum of a W-word vector holding each rank's
+/// cap in its own slot (sums of one nonzero word and zeros are exact).
+std::size_t group_body_cap(PeerChannel& channel, std::uint32_t rank, std::uint32_t world_log2,
+                           std::uint64_t& seq);
 
 /// W in-process channel endpoints over one shared mailbox. exchange()
 /// deposits a pointer to the caller's send buffer and blocks until the

@@ -118,7 +118,19 @@ class StatePanel {
   /// the clean-path contract postselect_zero also enforces.
   std::vector<double> postselect(const std::vector<std::uint32_t>& zeros,
                                  const std::vector<std::uint32_t>& ones) {
-    const auto p = probability_match(zeros, ones);
+    auto p = probability_match(zeros, ones);
+    project(zeros, ones, p);
+    return p;
+  }
+
+  /// The scaling half of postselect: zero every amplitude outside the
+  /// matching subspace and scale lane l's survivors by 1/sqrt(p[l]),
+  /// rounded to T once. `p` is each lane's pre-projection probability —
+  /// this panel's own, or the allreduced total when the panel is one
+  /// shard of a distributed register.
+  void project(const std::vector<std::uint32_t>& zeros, const std::vector<std::uint32_t>& ones,
+               const std::vector<double>& p) {
+    expects(p.size() == lanes_, "panel project: one probability per lane");
     std::vector<T> inv(lanes_);
     for (std::size_t l = 0; l < lanes_; ++l) {
       expects(p[l] > 0.0, "panel postselect: zero-probability branch");
@@ -145,7 +157,6 @@ class StatePanel {
         }
       }
     }
-    return p;
   }
 
  private:

@@ -1,11 +1,11 @@
 #include "qsvt/dist_solve.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
-#include "qsim/exec/dist/dist_state.hpp"
 
 namespace mpqls::qsvt::dist {
 
@@ -30,6 +30,8 @@ void DistSolveSession::bind(const QsvtSolverContext& ctx) {
               ctx.options.noise.damping_per_gate == 0.0,
           "dist solve: noise trajectories are single-node only");
   plan_ = edist::build_exchange_plan(ctx.programs->ir(), config_.world_log2);
+  // Ranks may differ in body cap; all size their panels for the smallest.
+  body_cap_ = edist::group_body_cap(*config_.channel, config_.rank, config_.world_log2, seq_);
   bound_ = &ctx;
 }
 
@@ -49,95 +51,118 @@ const edist::RankProgram<T>& DistSolveSession::rank_program() {
 }
 
 template <typename T>
-QsvtSolveOutcome DistSolveSession::solve_one(const QsvtSolverContext& ctx,
-                                             const linalg::Vector<double>& rhs) {
+void DistSolveSession::sweep(const QsvtSolverContext& ctx,
+                             std::span<const linalg::Vector<double>* const> rhs,
+                             std::vector<QsvtSolveOutcome>& out) {
   const QsvtCircuit& qc = *ctx.circuit;
-  const std::uint32_t width = qc.circuit.num_qubits();
   const std::size_t N = ctx.A.rows();
-  expects(rhs.size() == N, "dist solve: dimension mismatch");
+  const std::size_t B = rhs.size();
+  const auto& program = rank_program<T>();
+  const std::uint32_t m = program.local_qubits;
+  const std::uint32_t rank = config_.rank;
 
-  // Normalize classically — identical on every rank.
-  linalg::Vector<double> rhs_unit = rhs;
-  {
-    const double n = linalg::nrm2(rhs_unit);
+  // Load every lane with this rank's slice of the normalized right-hand
+  // side (global amplitude g = rank·2^m + i), normalized classically —
+  // identically on every rank.
+  qsim::exec::StatePanel<T> shard(m, B);
+  const std::size_t base = std::size_t{rank} << m;
+  std::vector<double> slice;
+  for (std::size_t lane = 0; lane < B; ++lane) {
+    expects(rhs[lane]->size() == N, "dist solve: dimension mismatch");
+    const double n = linalg::nrm2(*rhs[lane]);
     expects(n > 0.0, "dist solve: zero right-hand side");
-    for (auto& x : rhs_unit) x /= n;
+    slice.clear();
+    for (std::size_t g = base; g < N && g < base + shard.dim(); ++g) {
+      slice.push_back((*rhs[lane])[g] / n);
+    }
+    shard.load_lane_real(lane, slice);
   }
 
-  edist::DistState<T> state(width, config_.world_log2, config_.rank);
-  state.load_global_real(rhs_unit);
-
   edist::DistRunMetrics metrics;
-  edist::run_rank_program<T>(rank_program<T>(), state, *config_.channel, seq_, &metrics);
+  edist::run_rank_program<T>(program, shard, *config_.channel, seq_, &metrics);
 
   // Postselect: BE ancillas and signal at |0>, real-part qubit at |1>.
-  // The probability partial is allreduced so every rank scales by the
+  // The probability partials are allreduced so every rank scales by the
   // same global p (the surviving subspace typically lives on one rank;
   // the rest contribute exact zeros).
   const auto zeros = qc.zero_postselect();
   const std::vector<std::uint32_t> ones = {qc.realpart_qubit};
-  double p = state.probability_match_partial(zeros, ones);
-  edist::allreduce_sum(*config_.channel, config_.rank, config_.world_log2, seq_, &p, 1);
-  expects(p > 0.0, "dist solve: zero-probability postselection");
-  state.postselect_scale(zeros, ones, p);
+  auto p = edist::shard_probability_match(shard, rank, zeros, ones);
+  edist::allreduce_sum(*config_.channel, rank, config_.world_log2, seq_, p.data(), B);
+  // Checked on every rank: a rank owning no survivor skips project's own
+  // check and would otherwise wait on the direction allreduce.
+  for (const double pl : p) expects(pl > 0.0, "dist solve: zero-probability postselection");
+  edist::shard_project(shard, rank, zeros, ones, p);
 
-  // Direction + imaginary-mass partials in one (N+1)-word allreduce: the
-  // owner of each surviving amplitude contributes its value, everyone
-  // else exact zero.
+  // Direction + imaginary-mass partials of every lane in one B·(N+1)-word
+  // allreduce: the owner of each surviving amplitude contributes its
+  // value, everyone else exact zero.
   const std::uint64_t rp_bit = std::uint64_t{1} << qc.realpart_qubit;
-  std::vector<double> reduce(N + 1, 0.0);
-  for (std::size_t i = 0; i < N; ++i) {
-    const std::uint64_t g = static_cast<std::uint64_t>(i) | rp_bit;
-    if (!state.owns(g)) continue;
-    const auto a = state.amp_global(g);
-    reduce[i] = a.real();
-    reduce[N] += a.imag() * a.imag();
+  std::vector<double> reduce(B * (N + 1), 0.0);
+  for (std::size_t lane = 0; lane < B; ++lane) {
+    double* r = reduce.data() + lane * (N + 1);
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::uint64_t g = static_cast<std::uint64_t>(i) | rp_bit;
+      if ((g >> m) != rank) continue;
+      const auto a = shard.amp(static_cast<std::size_t>(g - base), lane);
+      r[i] = a.real();
+      r[N] += a.imag() * a.imag();
+    }
   }
-  edist::allreduce_sum(*config_.channel, config_.rank, config_.world_log2, seq_, reduce.data(),
+  edist::allreduce_sum(*config_.channel, rank, config_.world_log2, seq_, reduce.data(),
                        reduce.size());
 
-  QsvtSolveOutcome out;
-  out.direction.resize(N);
-  for (std::size_t i = 0; i < N; ++i) out.direction[i] = reduce[i];
   constexpr double imag_tol = std::is_same_v<T, qsim::exec::f16> ? 1e-2 : 1e-6;
-  ensures(reduce[N] < imag_tol, "dist solve: unexpected imaginary amplitudes");
-  const double n = linalg::nrm2(out.direction);
-  expects(n > 0.0, "dist solve: zero-probability postselection");
-  for (auto& x : out.direction) x /= n;
-  out.success_probability = p;
-  out.be_calls = qc.be_calls;
-  out.circuit_gates = qc.circuit.size() + ctx.sp_circuit_gates;
+  for (std::size_t lane = 0; lane < B; ++lane) {
+    const double* r = reduce.data() + lane * (N + 1);
+    QsvtSolveOutcome o;
+    o.direction.assign(r, r + N);
+    ensures(r[N] < imag_tol, "dist solve: unexpected imaginary amplitudes");
+    const double n = linalg::nrm2(o.direction);
+    expects(n > 0.0, "dist solve: zero-probability postselection");
+    for (auto& x : o.direction) x /= n;
+    o.success_probability = p[lane];
+    o.be_calls = qc.be_calls;
+    o.circuit_gates = qc.circuit.size() + ctx.sp_circuit_gates;
+    out.push_back(std::move(o));
+  }
 
-  ++stats_.solves;
+  stats_.solves += B;
   stats_.exchange_rounds += metrics.exchange_rounds;
   stats_.bytes_moved += metrics.bytes_moved;
   stats_.exchange_seconds += metrics.exchange_seconds;
   stats_.local_seconds += metrics.local_seconds;
   stats_.plan_naive_rounds += plan_->stats.naive_rounds;
   stats_.plan_scheduled_rounds += plan_->stats.scheduled_rounds;
-  return out;
+}
+
+template <typename T>
+void DistSolveSession::solve_tier(const QsvtSolverContext& ctx,
+                                  const std::vector<const linalg::Vector<double>*>& rhs,
+                                  std::vector<QsvtSolveOutcome>& out, PanelExecStats* stats) {
+  const std::size_t lanes = edist::shard_panel_lanes(rank_program<T>(), rhs.size(), body_cap_);
+  for (std::size_t begin = 0; begin < rhs.size(); begin += lanes) {
+    const std::size_t count = std::min(lanes, rhs.size() - begin);
+    sweep<T>(ctx, std::span(rhs).subspan(begin, count), out);
+    if (stats) {
+      stats->panels += 1;
+      stats->lanes += count;
+    }
+  }
 }
 
 std::vector<QsvtSolveOutcome> DistSolveSession::solve_directions(
     const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
-    QpuPrecision tier) {
+    QpuPrecision tier, PanelExecStats* stats) {
   expects(!rhs.empty(), "dist solve: at least one right-hand side");
   expects(tier != QpuPrecision::kAdaptive, "dist solve: tier must be a concrete precision");
   bind(ctx);
   std::vector<QsvtSolveOutcome> out;
   out.reserve(rhs.size());
-  for (const auto* b : rhs) {
-    switch (tier) {
-      case QpuPrecision::kHalf:
-        out.push_back(solve_one<qsim::exec::f16>(ctx, *b));
-        break;
-      case QpuPrecision::kSingle:
-        out.push_back(solve_one<float>(ctx, *b));
-        break;
-      default:
-        out.push_back(solve_one<double>(ctx, *b));
-        break;
-    }
+  switch (tier) {
+    case QpuPrecision::kHalf: solve_tier<qsim::exec::f16>(ctx, rhs, out, stats); break;
+    case QpuPrecision::kSingle: solve_tier<float>(ctx, rhs, out, stats); break;
+    default: solve_tier<double>(ctx, rhs, out, stats); break;
   }
   return out;
 }

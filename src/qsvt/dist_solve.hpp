@@ -1,21 +1,24 @@
 // Distributed gate-level QSVT solves: one rank's view of a shard-group
-// solve. Each of the W = 2^k workers holds a DistState shard of the QSVT
-// register (k top qubits partition the amplitudes), replays the rank's
-// slice of the context's compiled program (exchange_plan.hpp), and
-// reduces postselection probability, direction amplitudes, and imaginary
-// mass across the group with a deterministic allreduce. Every rank
-// computes the full classical epilogue (normalization, outcome assembly)
-// on the identical allreduced values, so every rank returns the identical
-// QsvtSolveOutcome — which is what lets the adaptive-precision refinement
-// loop above run unchanged and stay in lockstep with zero extra
-// synchronization: identical outcomes drive identical tier decisions.
+// solve. Each of the W = 2^k workers holds its shard of the QSVT register
+// as a StatePanel over the m = n - k local qubits, one lane per
+// right-hand side, replays the rank's slice of the context's compiled
+// program (exchange_plan.hpp), and allreduces postselection
+// probabilities, direction amplitudes, and imaginary mass across the
+// group — once per sweep, like the single-node panel path. Every rank
+// computes the full classical epilogue on the identical allreduced
+// values, so every rank returns the identical QsvtSolveOutcomes — which
+// is what lets the adaptive-precision refinement loop above run
+// unchanged and stay in lockstep: identical outcomes drive identical
+// tier decisions.
 //
 // Bitwise parity with single-node replay: the postselected subspace fixes
 // the register's top qubits (realpart=1, signal=0, BE ancillas=0), so for
 // world sizes that partition only those qubits the surviving amplitudes —
 // and the reduction partials — live on exactly one rank; the other ranks
-// contribute exact zeros and the double-path outcome equals the one-lane
-// panel solve bit for bit (see exchange_plan.hpp for the replay side).
+// contribute exact zeros and the outcome equals the single-node panel
+// solve of the same lanes bit for bit (see exchange_plan.hpp for the
+// replay side). Sweeps hold shard_panel_lanes lanes, sized for the
+// group's smallest request-body cap (agreed on first use).
 //
 // A session serves ONE job: it binds to the job's solver context on first
 // use, compiles the exchange plan once, specializes per-tier rank
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "qsim/exec/dist/dist_executor.hpp"
@@ -45,13 +49,13 @@ struct DistConfig {
 
 /// Cumulative per-session counters (the mpqls_dist_* series).
 struct DistSolveStats {
-  std::uint64_t solves = 0;
+  std::uint64_t solves = 0;  ///< right-hand sides replayed (lanes, over all sweeps)
   std::uint64_t exchange_rounds = 0;
   std::uint64_t bytes_moved = 0;
   double exchange_seconds = 0.0;
   double local_seconds = 0.0;
-  std::uint64_t plan_naive_rounds = 0;      ///< per replay, before scheduling
-  std::uint64_t plan_scheduled_rounds = 0;  ///< per replay, as executed
+  std::uint64_t plan_naive_rounds = 0;      ///< per sweep, before scheduling
+  std::uint64_t plan_scheduled_rounds = 0;  ///< per sweep, as planned
 };
 
 class DistSolveSession {
@@ -63,18 +67,24 @@ class DistSolveSession {
   std::uint32_t world_log2() const { return config_.world_log2; }
 
   /// Drop-in for qsvt_solve_directions on the gate-level panel path: solve
-  /// every right-hand side (one replay each, lockstep across ranks) at the
-  /// given concrete tier. Binds to `ctx` on first call; later calls must
-  /// pass the same context.
+  /// every right-hand side at the given concrete tier in shard-panel
+  /// sweeps of shard_panel_lanes lanes (lockstep across ranks), counting
+  /// them in `stats` like local sweeps. Binds to `ctx` on first call;
+  /// later calls must pass the same context.
   std::vector<QsvtSolveOutcome> solve_directions(
       const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
-      QpuPrecision tier);
+      QpuPrecision tier, PanelExecStats* stats = nullptr);
 
   const DistSolveStats& stats() const { return stats_; }
 
  private:
   template <typename T>
-  QsvtSolveOutcome solve_one(const QsvtSolverContext& ctx, const linalg::Vector<double>& rhs);
+  void sweep(const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>* const> rhs,
+             std::vector<QsvtSolveOutcome>& out);
+  template <typename T>
+  void solve_tier(const QsvtSolverContext& ctx,
+                  const std::vector<const linalg::Vector<double>*>& rhs,
+                  std::vector<QsvtSolveOutcome>& out, PanelExecStats* stats);
   void bind(const QsvtSolverContext& ctx);
   template <typename T>
   const qsim::exec::dist::RankProgram<T>& rank_program();
@@ -85,6 +95,7 @@ class DistSolveSession {
   std::optional<qsim::exec::dist::RankProgram<qsim::exec::f16>> prog_half_;
   std::optional<qsim::exec::dist::RankProgram<float>> prog_single_;
   std::optional<qsim::exec::dist::RankProgram<double>> prog_double_;
+  std::size_t body_cap_ = 0;  ///< smallest request-body cap in the group
   std::uint64_t seq_ = 0;
   DistSolveStats stats_;
 };

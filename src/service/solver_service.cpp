@@ -1,6 +1,7 @@
 #include "service/solver_service.hpp"
 
 #include <algorithm>
+#include <future>
 #include <span>
 #include <thread>
 #include <utility>
@@ -114,40 +115,30 @@ SolveResult SolverService::solve(const SolveRequest& request) {
             "(submit to a larger shard group)");
   }
 
-  // Clean gate-level jobs group their right-hand sides into panels of
-  // `panel_width` lanes: each group replays the cached program in one
-  // sweep per round (lockstep refinement, see solve_qsvt_ir_batch), and
-  // the groups fan out across the solve pool — at width 1, one one-lane
-  // panel per RHS. Noise trajectories need per-gate injection the panel
-  // kernels cannot do, and the matrix-function backend has no program to
-  // replay: those fan out one task per RHS.
+  // Every job runs as a loop over chunks of its right-hand sides; each
+  // chunk is one lockstep solve_qsvt_ir_batch (see there) and only the
+  // chunk width and where it runs depend on the job:
+  //  * a distributed shard-group job is ONE chunk of every RHS, run on
+  //    this thread: every rank of the group must issue the identical
+  //    sequence of exchanges, and chunking or solve-pool fan-out would let
+  //    rank-local scheduling reorder them and deadlock the group. The
+  //    adaptive loop inside stays in lockstep for free — every rank sees
+  //    the identical allreduced outcomes and takes the identical tier
+  //    decisions;
+  //  * a clean gate-level job fans panels of `panel_width` lanes out
+  //    across the solve pool, each replaying the cached program once per
+  //    round (at width 1, one one-lane panel per RHS);
+  //  * noise trajectories need per-gate injection the panel kernels
+  //    cannot do, and the matrix-function backend has no program to
+  //    replay: those fan out one RHS per chunk.
   const auto& qsvt_opts = options.qsvt;
   const bool noisy = qsvt_opts.noise.depolarizing_per_gate > 0.0 ||
                      qsvt_opts.noise.damping_per_gate > 0.0;
-  // Adaptive-precision jobs run most of their sweeps on the half/single
-  // tiers, whose lanes cost roughly half a double lane, so their panels
-  // carry twice the configured width at the same per-sweep footprint.
-  const std::size_t panel_width =
-      std::max<std::size_t>(1, qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
-                                   ? options_.panel_width * 2
-                                   : options_.panel_width);
-  const bool panelize = qsvt_opts.backend == qsvt::Backend::kGateLevel && !noisy;
-
-  struct GroupOutcome {
-    std::vector<RhsResult> results;
-    solver::BatchSolveStats stats;
-  };
   const SolveRequest& active = *req;  ///< what the queued tasks reference
-  std::vector<std::future<GroupOutcome>> pending;
   std::shared_ptr<qsvt::dist::DistSolveSession> dist_session;
+  std::size_t width = 1;
+  bool panelize = false;
   if (active.shard.distributed()) {
-    // Distributed shard-group job: every rank of the group must issue the
-    // identical sequence of exchanges, so the whole RHS batch runs as ONE
-    // lockstep solve_qsvt_ir_batch on this thread — no panel chunking, no
-    // solve-pool fan-out (either would let rank-local scheduling reorder
-    // exchanges and deadlock the group). The adaptive refinement loop
-    // inside stays in lockstep for free: every rank sees the identical
-    // allreduced outcomes and takes the identical tier decisions.
     expects(static_cast<bool>(options_.shard_channel),
             "service: no shard transport configured on this instance");
     expects(qsvt_opts.backend == qsvt::Backend::kGateLevel,
@@ -158,65 +149,59 @@ SolveResult SolverService::solve(const SolveRequest& request) {
     while ((1u << world_log2) < active.shard.world) ++world_log2;
     dist_session = std::make_shared<qsvt::dist::DistSolveSession>(qsvt::dist::DistConfig{
         active.shard.rank, world_log2, options_.shard_channel(active.shard)});
+    width = active.rhs.size();
+  } else if (qsvt_opts.backend == qsvt::Backend::kGateLevel && !noisy) {
+    // Adaptive-precision jobs run most of their sweeps on the half/single
+    // tiers, whose lanes cost roughly half a double lane, so their panels
+    // carry twice the configured width at the same per-sweep footprint.
+    width = std::max<std::size_t>(1, qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
+                                         ? options_.panel_width * 2
+                                         : options_.panel_width);
+    panelize = true;
+  }
 
-    std::promise<GroupOutcome> ready;
-    pending.push_back(ready.get_future());
-    try {
-      Timer t;
-      GroupOutcome out;
-      MPQLS_TRACE_SPAN(dist_span, options.trace, "dist_batch", options.trace_span);
-      dist_span.attr("rank", static_cast<std::uint64_t>(active.shard.rank));
-      dist_span.attr("world", static_cast<std::uint64_t>(active.shard.world));
-      solver::QsvtIrOptions opts = options;
-      opts.dist = dist_session;
-      if (dist_span) opts.trace_span = dist_span.id();
-      auto reports = solver::solve_qsvt_ir_batch(
-          *ctx, std::span<const linalg::Vector<double>>(active.rhs), opts, &out.stats);
-      const double per_rhs_seconds = t.seconds() / static_cast<double>(reports.size());
-      out.results.reserve(reports.size());
-      for (auto& rep : reports) out.results.push_back({std::move(rep), per_rhs_seconds});
-      ready.set_value(std::move(out));
-    } catch (...) {
-      ready.set_exception(std::current_exception());
+  struct GroupOutcome {
+    std::vector<RhsResult> results;
+    solver::BatchSolveStats stats;
+  };
+  const char* span_name = dist_session ? "dist_batch" : panelize ? "panel" : "rhs_solve";
+  const auto run_chunk = [ctx, &active, &options, dist_session, panelize, span_name](
+                             std::size_t begin, std::size_t count) {
+    Timer t;
+    GroupOutcome out;
+    // Each chunk gets its own span; the replay rounds recorded inside
+    // solve_qsvt_ir_batch nest under it via the options copy.
+    MPQLS_TRACE_SPAN(span, options.trace, span_name, options.trace_span);
+    if (dist_session) {
+      span.attr("rank", static_cast<std::uint64_t>(active.shard.rank));
+      span.attr("world", static_cast<std::uint64_t>(active.shard.world));
+    } else if (panelize) {
+      span.attr("lanes", static_cast<std::uint64_t>(count));
+      span.attr("rhs_begin", static_cast<std::uint64_t>(begin));
     }
-  } else if (panelize) {
-    for (std::size_t begin = 0; begin < active.rhs.size(); begin += panel_width) {
-      const std::size_t count = std::min(panel_width, active.rhs.size() - begin);
-      pending.push_back(solve_pool_.submit([ctx, &active, &options, begin, count] {
-        Timer t;
-        GroupOutcome out;
-        // Each panel group gets its own span; the replay rounds recorded
-        // inside solve_qsvt_ir_batch nest under it via the options copy.
-        MPQLS_TRACE_SPAN(panel_span, options.trace, "panel", options.trace_span);
-        panel_span.attr("lanes", static_cast<std::uint64_t>(count));
-        panel_span.attr("rhs_begin", static_cast<std::uint64_t>(begin));
-        solver::QsvtIrOptions opts = options;
-        if (panel_span) opts.trace_span = panel_span.id();
-        auto reports = solver::solve_qsvt_ir_batch(
-            *ctx,
-            std::span<const linalg::Vector<double>>(active.rhs.data() + begin, count),
-            opts, &out.stats);
-        // The panel's wall clock is shared work; report it amortized so
-        // per-RHS and job-level timings stay additive.
-        const double per_rhs_seconds = t.seconds() / static_cast<double>(count);
-        out.results.reserve(reports.size());
-        for (auto& rep : reports) out.results.push_back({std::move(rep), per_rhs_seconds});
-        return out;
-      }));
-    }
-  } else {
-    for (const auto& b : request.rhs) {
-      pending.push_back(solve_pool_.submit([ctx, &b, &options] {
-        Timer t;
-        GroupOutcome out;
-        MPQLS_TRACE_SPAN(rhs_span, options.trace, "rhs_solve", options.trace_span);
-        solver::QsvtIrOptions opts = options;
-        if (rhs_span) opts.trace_span = rhs_span.id();
-        RhsResult r;
-        r.report = solver::solve_qsvt_ir(*ctx, b, opts);
-        r.solve_seconds = t.seconds();
-        out.results.push_back(std::move(r));
-        return out;
+    solver::QsvtIrOptions opts = options;
+    opts.dist = dist_session;
+    if (span) opts.trace_span = span.id();
+    auto reports = solver::solve_qsvt_ir_batch(
+        *ctx, std::span<const linalg::Vector<double>>(active.rhs.data() + begin, count), opts,
+        &out.stats);
+    // A chunk's wall clock is shared work; report it amortized so per-RHS
+    // and job-level timings stay additive.
+    const double per_rhs_seconds = t.seconds() / static_cast<double>(count);
+    out.results.reserve(reports.size());
+    for (auto& rep : reports) out.results.push_back({std::move(rep), per_rhs_seconds});
+    return out;
+  };
+  std::vector<std::future<GroupOutcome>> pending;
+  for (std::size_t begin = 0; begin < active.rhs.size(); begin += width) {
+    const std::size_t count = std::min(width, active.rhs.size() - begin);
+    if (dist_session) {
+      std::packaged_task<GroupOutcome()> inline_task([&] { return run_chunk(begin, count); });
+      pending.push_back(inline_task.get_future());
+      inline_task();
+    } else {
+      pending.push_back(solve_pool_.submit([run_chunk, begin, count] {
+        return run_chunk(begin, count);
       }));
     }
   }

@@ -55,7 +55,8 @@ struct ServiceOptions {
   /// sides are grouped into panels of this many lanes, each replaying the
   /// cached compiled program in ONE sweep (see qsim/exec/panel.hpp). Small
   /// powers of two vectorize best; 1 (or 0) replays one one-lane panel
-  /// per RHS. Noisy and matrix-function jobs solve per RHS.
+  /// per RHS. Noisy and matrix-function jobs solve per RHS; shard-group
+  /// jobs size their own panels (shard_panel_lanes, qsim/exec/dist).
   std::size_t panel_width = 8;
   /// Byte budget of the content-addressed matrix store (uploads via
   /// PUT /v1/matrices that jobs reference as {"matrix_ref": ...}). The
@@ -199,7 +200,7 @@ class SolverService {
     /// accumulated from each dist job's session stats.
     struct DistStats {
       std::uint64_t jobs = 0;             ///< dist jobs this rank served
-      std::uint64_t solves = 0;           ///< QSVT replays across dist jobs
+      std::uint64_t solves = 0;           ///< RHS lanes replayed across dist jobs
       std::uint64_t exchange_rounds = 0;  ///< pairwise exchange rounds paid
       std::uint64_t bytes_moved = 0;      ///< amplitude bytes shipped
       double exchange_seconds = 0.0;

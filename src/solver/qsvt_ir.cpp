@@ -202,7 +202,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
     for (const Lane& lane : lanes) batch.push_back(lane.b);
     const auto outcomes =
         options.dist
-            ? options.dist->solve_directions(ctx, batch, tier_precision(initial_tier))
+            ? options.dist->solve_directions(ctx, batch, tier_precision(initial_tier), &pstats)
             : qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(initial_tier));
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       Lane& lane = lanes[l];
@@ -303,7 +303,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
       }
       const auto outcomes =
           options.dist
-              ? options.dist->solve_directions(ctx, batch, tier_precision(tier))
+              ? options.dist->solve_directions(ctx, batch, tier_precision(tier), &pstats)
               : qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(tier));
       for (std::size_t k = 0; k < group.size(); ++k) {
         Lane& lane = lanes[group[k]];

@@ -7,7 +7,11 @@
 // /v1/metrics, and the memory-wall contract must hold over HTTP: a
 // qubit-capped daemon answers 413 for a too-wide single-node job yet
 // completes the same job as a member of a 4-worker shard group, and its
-// width estimate never wedges the event loop on absurd dimensions.
+// width estimate never wedges the event loop on absurd dimensions. Ranks
+// with different body caps size their exchange frames for the smallest;
+// a group whose cap is below one exchange frame fails fast and
+// symmetrically: every rank sees its peer's 413, well inside the
+// exchange await deadline, and no shard group is left registered.
 #include "net/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -41,7 +45,7 @@ DaemonOptions worker_options(std::size_t qubit_cap = 0) {
 
 /// The rank-r job body for a W-member group over `ports`.
 std::string shard_job(std::size_t n, std::uint32_t rank,
-                      const std::vector<std::uint16_t>& ports) {
+                      const std::vector<std::uint16_t>& ports, std::uint64_t rhs_count = 1) {
   Json shard = Json::object();
   shard["group"] = std::string("00000000deadbeef");
   shard["rank"] = static_cast<std::uint64_t>(rank);
@@ -60,7 +64,7 @@ std::string shard_job(std::size_t n, std::uint32_t rank,
   j["matrix"] = std::move(matrix);
   Json rhs = Json::object();
   rhs["kind"] = std::string("random");
-  rhs["count"] = static_cast<std::uint64_t>(1);
+  rhs["count"] = rhs_count;
   rhs["seed"] = static_cast<std::uint64_t>(78);
   j["rhs"] = std::move(rhs);
   Json qsvt = Json::object();
@@ -156,6 +160,99 @@ TEST(DistDaemon, TwoWorkerGroupSolvesOverLoopbackHttp) {
     const std::string text = daemon->metrics_text();
     EXPECT_NE(text.find("mpqls_dist_jobs_total 1"), std::string::npos) << text;
     EXPECT_EQ(text.find("mpqls_dist_exchange_rounds_total 0\n"), std::string::npos);
+  }
+  for (auto& daemon : daemons) daemon->drain(5000ms);
+}
+
+// n = 16 embeds as 7 circuit qubits, so a W = 2 shard holds 2^6 amplitudes
+// per lane: a one-lane exchange frame carries 64 complex doubles = 1 KiB
+// of payload plus its envelope.
+constexpr std::size_t kOneLaneFrameBody = 1024;
+
+TEST(DistDaemon, RanksAgreeOnTheSmallestBodyCap) {
+  // Rank 0 accepts one-lane frames but not two-lane ones; rank 1 runs at
+  // the default cap. The group sizes its panels for rank 0, so the 2-RHS
+  // job completes in one-lane sweeps on both ranks.
+  constexpr std::size_t kBodyCap = 1536;
+  std::vector<std::unique_ptr<SolverDaemon>> daemons;
+  for (int i = 0; i < 2; ++i) {
+    auto options = worker_options();
+    if (i == 0) options.limits.max_body_bytes = kBodyCap;
+    daemons.push_back(std::make_unique<SolverDaemon>(options));
+    daemons.back()->start();
+  }
+  const std::vector<std::uint16_t> ports = {daemons[0]->port(), daemons[1]->port()};
+
+  std::vector<std::string> ids(2);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const std::string body = shard_job(16, r, ports, /*rhs_count=*/2);
+    ASSERT_LT(body.size(), kBodyCap);
+    HttpClient client("127.0.0.1", ports[r]);
+    const auto response = client.post("/v1/jobs", body);
+    ASSERT_EQ(response.status, 202) << response.body;
+    ids[r] = Json::parse(response.body).at("job_id").as_string();
+  }
+  std::vector<Json> results(2);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    HttpClient client("127.0.0.1", ports[r]);
+    const Json status = poll_done(client, ids[r], 60s);
+    ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+    results[r] = status.at("result");
+    // Every sweep carried one lane.
+    EXPECT_GT(results[r].at("panels_executed").as_uint(), 0u) << "rank " << r;
+    EXPECT_EQ(results[r].at("panels_executed").as_uint(),
+              results[r].at("panel_lanes").as_uint())
+        << "rank " << r;
+  }
+  for (std::size_t l = 0; l < 2; ++l) {
+    const auto& x0 = results[0].at("solves").as_array()[l].at("report").at("x").as_array();
+    const auto& x1 = results[1].at("solves").as_array()[l].at("report").at("x").as_array();
+    ASSERT_EQ(x0.size(), x1.size());
+    for (std::size_t i = 0; i < x0.size(); ++i) {
+      EXPECT_EQ(x0[i].as_number(), x1[i].as_number()) << "rhs " << l << " component " << i;
+    }
+  }
+  for (auto& daemon : daemons) daemon->drain(5000ms);
+}
+
+TEST(DistDaemon, OversizeExchangeFramesFailFastOnEveryRank) {
+  // A body cap of exactly one frame's payload still admits the job itself
+  // but refuses every exchange frame, even at one lane.
+  constexpr std::size_t kBodyCap = kOneLaneFrameBody;
+  std::vector<std::unique_ptr<SolverDaemon>> daemons;
+  for (int i = 0; i < 2; ++i) {
+    auto options = worker_options();
+    options.limits.max_body_bytes = kBodyCap;
+    daemons.push_back(std::make_unique<SolverDaemon>(options));
+    daemons.back()->start();
+  }
+  const std::vector<std::uint16_t> ports = {daemons[0]->port(), daemons[1]->port()};
+
+  const auto started = std::chrono::steady_clock::now();
+  std::vector<std::string> ids(2);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const std::string body = shard_job(16, r, ports);
+    ASSERT_LT(body.size(), kBodyCap);
+    HttpClient client("127.0.0.1", ports[r]);
+    const auto response = client.post("/v1/jobs", body);
+    ASSERT_EQ(response.status, 202) << response.body;
+    ids[r] = Json::parse(response.body).at("job_id").as_string();
+  }
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    HttpClient client("127.0.0.1", ports[r]);
+    // Far inside the 60 s exchange await: neither rank may sit waiting
+    // for a frame its peer could never deliver.
+    const Json status = poll_done(client, ids[r], 20s);
+    EXPECT_EQ(status.at("state").as_string(), "failed") << status.dump();
+    const std::string error = status.at("error").as_string();
+    EXPECT_NE(error.find("413"), std::string::npos) << "rank " << r << ": " << error;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 20s);
+
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    HttpClient client("127.0.0.1", ports[r]);
+    const Json health = Json::parse(client.get("/v1/healthz").body);
+    EXPECT_EQ(health.at("dist").at("active_groups").as_array().size(), 0u) << "rank " << r;
   }
   for (auto& daemon : daemons) daemon->drain(5000ms);
 }

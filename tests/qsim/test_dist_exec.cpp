@@ -1,15 +1,19 @@
 // Distributed statevector execution vs single-node panel replay: the
 // exchange plan's classification and scheduling (exact-diagonal demotion,
 // X-conjugation elimination, naive vs scheduled round counts), and W-shard
-// replay through LocalPeerGroup reproducing a one-lane StatePanel replay
-// of the same compiled program — exactly, in double and float, including
-// the QSVT-shaped stream whose closing H fuses into a dense op with two
-// partition-qubit targets.
+// replay of B-lane shard panels through LocalPeerGroup reproducing a
+// B-lane StatePanel replay of the same compiled program — exactly, in
+// double, float and half, for B in {1, 3, 8, 16}, including the
+// QSVT-shaped stream whose closing H fuses into a dense op with two
+// partition-qubit targets. Also the shard-panel reductions, the lane cap
+// that keeps exchange frames under the HTTP body cap, and the group's
+// agreement on that cap when ranks run with different ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <exception>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,7 +21,6 @@
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/dist/dist_executor.hpp"
-#include "qsim/exec/dist/dist_state.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsim/exec/panel.hpp"
@@ -145,48 +148,47 @@ qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates
   return c;
 }
 
-// Replay `ir` on W shards (threads over a LocalPeerGroup) and on a
-// one-lane StatePanel, from the same initial state. With tol == 0 every
-// global amplitude must match exactly — guaranteed whenever the plan's
-// scheduling passes changed no op's kernel class (demoted_diagonal and
-// conjugated_ops both zero; see exchange_plan.hpp). When a rewrite fires
-// the values are equal but the multiply routes through a different kernel
-// whose FMA contraction may differ in the last ulp, so those replays
-// compare against a tight tolerance instead.
+/// One random normalized state per lane: lanes[l][g].
+using Lanes = std::vector<std::vector<std::complex<double>>>;
+Lanes random_lanes(Xoshiro256& rng, std::uint32_t n, std::size_t lanes) {
+  Lanes out;
+  for (std::size_t l = 0; l < lanes; ++l) out.push_back(random_state(rng, n));
+  return out;
+}
+
+/// Rank r's shard panel of `init`: global amplitude (r << m) | i of lane l
+/// lands at local amplitude i of lane l.
 template <typename T>
-void expect_dist_matches_panel(const FusedIr& ir, std::uint32_t world_log2,
-                               const std::vector<std::complex<double>>& init, double tol = 0.0,
-                               const dist::PlanOptions& popts = {}) {
-  const std::uint32_t n = ir.num_qubits;
-  const auto plan = dist::build_exchange_plan(ir, world_log2, popts);
-  const std::uint32_t world = 1u << world_log2;
-
-  StatePanel<T> panel(n, 1);
-  for (std::size_t i = 0; i < init.size(); ++i) panel.set_amp(i, 0, init[i]);
-  PanelExecutor<T>().run(specialize<T>(ir), panel);
-
-  dist::LocalPeerGroup group(world);
-  std::vector<dist::DistState<T>> shards;
-  shards.reserve(world);
+std::vector<StatePanel<T>> shard_panels(const Lanes& init, std::uint32_t m,
+                                        std::uint32_t world) {
+  std::vector<StatePanel<T>> shards;
   for (std::uint32_t r = 0; r < world; ++r) {
-    shards.emplace_back(n, world_log2, r);
-    auto& st = shards.back();
-    const std::uint64_t base = st.base_index();
-    for (std::size_t i = 0; i < st.dim(); ++i) {
-      st.re()[i] = static_cast<T>(init[base + i].real());
-      st.im()[i] = static_cast<T>(init[base + i].imag());
+    shards.emplace_back(m, init.size());
+    for (std::size_t i = 0; i < shards.back().dim(); ++i) {
+      for (std::size_t l = 0; l < init.size(); ++l) {
+        shards.back().set_amp(i, l, init[l][(std::size_t{r} << m) | i]);
+      }
     }
   }
+  return shards;
+}
 
-  std::vector<std::thread> threads;
+/// Replay `plan` on every shard, one thread per rank over a LocalPeerGroup.
+template <typename T>
+std::vector<dist::DistRunMetrics> run_shards(const dist::ExchangePlan& plan,
+                                             std::vector<StatePanel<T>>& shards) {
+  const auto world = static_cast<std::uint32_t>(shards.size());
+  dist::LocalPeerGroup group(world);
+  std::vector<dist::DistRunMetrics> metrics(world);
   std::vector<std::exception_ptr> errors(world);
+  std::vector<std::thread> threads;
   for (std::uint32_t r = 0; r < world; ++r) {
     threads.emplace_back([&, r] {
       try {
         const auto rp = dist::specialize_rank<T>(plan, r);
         auto channel = group.channel(r);
         std::uint64_t seq = 0;
-        dist::run_rank_program<T>(rp, shards[r], *channel, seq);
+        dist::run_rank_program<T>(rp, shards[r], *channel, seq, &metrics[r]);
       } catch (...) {
         errors[r] = std::current_exception();
       }
@@ -196,18 +198,53 @@ void expect_dist_matches_panel(const FusedIr& ir, std::uint32_t world_log2,
   for (std::uint32_t r = 0; r < world; ++r) {
     if (errors[r]) std::rethrow_exception(errors[r]);
   }
+  return metrics;
+}
+
+// Replay `ir` on W shard panels and on one B-lane StatePanel, from the
+// same initial lanes. With tol == 0 every global amplitude of every lane
+// must match exactly — guaranteed whenever the plan's scheduling passes
+// changed no op's kernel class (demoted_diagonal and conjugated_ops both
+// zero; see exchange_plan.hpp). When a rewrite fires the values are equal
+// but the multiply routes through a different kernel whose FMA
+// contraction may differ in the last ulp, so those replays compare
+// against a tight tolerance instead.
+template <typename T>
+void expect_dist_matches_panel(const FusedIr& ir, std::uint32_t world_log2, const Lanes& init,
+                               double tol = 0.0, const dist::PlanOptions& popts = {}) {
+  const std::uint32_t n = ir.num_qubits;
+  const std::size_t lanes = init.size();
+  const auto plan = dist::build_exchange_plan(ir, world_log2, popts);
+  const std::uint32_t world = 1u << world_log2;
+  const std::uint32_t m = plan.local_qubits;
+
+  StatePanel<T> panel(n, lanes);
+  for (std::size_t i = 0; i < panel.dim(); ++i) {
+    for (std::size_t l = 0; l < lanes; ++l) panel.set_amp(i, l, init[l][i]);
+  }
+  PanelExecutor<T>().run(specialize<T>(ir), panel);
+
+  auto shards = shard_panels<T>(init, m, world);
+  run_shards(plan, shards);
 
   for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
-    const auto got = shards[g >> plan.local_qubits].amp_global(g);
-    const auto want = panel.amp(g, 0);
-    if (tol == 0.0) {
-      EXPECT_EQ(got.real(), want.real()) << "amp " << g << " W=" << world;
-      EXPECT_EQ(got.imag(), want.imag()) << "amp " << g << " W=" << world;
-    } else {
-      EXPECT_NEAR(std::abs(got - want), 0.0, tol) << "amp " << g << " W=" << world;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const auto got = shards[g >> m].amp(g & ((std::uint64_t{1} << m) - 1), l);
+      const auto want = panel.amp(g, l);
+      if (tol == 0.0) {
+        EXPECT_EQ(got.real(), want.real()) << "amp " << g << " lane " << l << "/" << lanes
+                                           << " W=" << world;
+        EXPECT_EQ(got.imag(), want.imag()) << "amp " << g << " lane " << l << "/" << lanes
+                                           << " W=" << world;
+      } else {
+        EXPECT_NEAR(std::abs(got - want), 0.0, tol)
+            << "amp " << g << " lane " << l << "/" << lanes << " W=" << world;
+      }
     }
   }
 }
+
+constexpr std::size_t kLaneCounts[] = {1, 3, 8, 16};
 
 TEST(ExchangePlan, ClassifiesDiagonalsLocalAndCountsRounds) {
   qsim::Circuit c(4);
@@ -263,15 +300,24 @@ TEST(ExchangePlan, DefaultFusedQsvtIsExchangeLight) {
 TEST(DistExec, QsvtShapedReplayMatchesPanelExactly) {
   Xoshiro256 rng(21);
   const auto c = qsvt_shaped_circuit(rng, 4);
-  const auto init = random_state(rng, 5);
   {
     // The production path: default fusion emits the gadgets as kDiagonal
-    // windows, no scheduling rewrite fires, replay is bit-identical.
+    // windows, no scheduling rewrite fires, and a B-lane shard replay is
+    // bit-identical to the B-lane panel at every tier.
     const auto ir = lower_and_fuse(c);
-    EXPECT_EQ(dist::build_exchange_plan(ir, 2).stats.demoted_diagonal, 0u);
-    expect_dist_matches_panel<double>(ir, 1, init);
-    expect_dist_matches_panel<double>(ir, 2, init);
-    expect_dist_matches_panel<float>(ir, 2, init);
+    for (const std::uint32_t wl : {1u, 2u}) {
+      const auto stats = dist::build_exchange_plan(ir, wl).stats;
+      EXPECT_EQ(stats.demoted_diagonal, 0u);
+      EXPECT_EQ(stats.conjugated_ops, 0u);
+    }
+    for (const std::size_t lanes : kLaneCounts) {
+      const auto init = random_lanes(rng, 5, lanes);
+      for (const std::uint32_t wl : {1u, 2u}) {
+        expect_dist_matches_panel<double>(ir, wl, init);
+        expect_dist_matches_panel<float>(ir, wl, init);
+        expect_dist_matches_panel<f16>(ir, wl, init);
+      }
+    }
   }
   {
     // Unfused at W=4 the X-conjugation pass rewrites the gadget interiors
@@ -279,6 +325,7 @@ TEST(DistExec, QsvtShapedReplayMatchesPanelExactly) {
     // contraction — compare to a tight tolerance. W=2 leaves the gadgets
     // local and untouched, so it stays exact.
     const auto ir = lower_and_fuse(c, {.fuse = false});
+    const auto init = random_lanes(rng, 5, 3);
     expect_dist_matches_panel<double>(ir, 1, init);
     expect_dist_matches_panel<double>(ir, 2, init, 1e-13);
     expect_dist_matches_panel<float>(ir, 2, init, 1e-5);
@@ -291,8 +338,10 @@ TEST(DistExec, NaiveScheduleReplaysCorrectlyToo) {
   Xoshiro256 rng(22);
   const auto c = qsvt_shaped_circuit(rng, 3);
   const auto ir = lower_and_fuse(c, {.fuse = false});
-  const auto init = random_state(rng, 5);
-  expect_dist_matches_panel<double>(ir, 2, init, 0.0, {.schedule = false});
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    expect_dist_matches_panel<double>(ir, 2, random_lanes(rng, 5, lanes), 0.0,
+                                      {.schedule = false});
+  }
 }
 
 TEST(DistExec, RandomCircuitsMatchPanelExactly) {
@@ -301,24 +350,18 @@ TEST(DistExec, RandomCircuitsMatchPanelExactly) {
     const auto n = static_cast<std::uint32_t>(3 + rng.uniform_index(4));  // 3..6
     const auto circ = random_circuit(rng, n, 30);
     const auto ir = lower_and_fuse(circ);
-    const auto init = random_state(rng, n);
     // Exact whenever the scheduling passes changed no kernel class;
     // otherwise equal values through a different kernel — ulp tolerance.
     auto tol_for = [&](std::uint32_t wl) {
       const auto stats = dist::build_exchange_plan(ir, wl).stats;
       return (stats.demoted_diagonal == 0 && stats.conjugated_ops == 0) ? 0.0 : 1e-13;
     };
-    expect_dist_matches_panel<double>(ir, 1, init, tol_for(1));
-    if (n >= 4) expect_dist_matches_panel<double>(ir, 2, init, tol_for(2));
+    for (const std::size_t lanes : kLaneCounts) {
+      const auto init = random_lanes(rng, n, lanes);
+      expect_dist_matches_panel<double>(ir, 1, init, tol_for(1));
+      if (n >= 4) expect_dist_matches_panel<double>(ir, 2, init, tol_for(2));
+    }
   }
-}
-
-TEST(DistExec, HalfTierReplayMatchesPanel) {
-  Xoshiro256 rng(24);
-  const auto c = qsvt_shaped_circuit(rng, 3);
-  const auto ir = lower_and_fuse(c);
-  const auto init = random_state(rng, 5);
-  expect_dist_matches_panel<f16>(ir, 2, init);
 }
 
 TEST(DistExec, MetricsCountRoundsAndBytes) {
@@ -326,73 +369,148 @@ TEST(DistExec, MetricsCountRoundsAndBytes) {
   const auto c = qsvt_shaped_circuit(rng, 4);
   const auto ir = lower_and_fuse(c, {.fuse = false});
   const auto plan = dist::build_exchange_plan(ir, 2);
-  const auto init = random_state(rng, 5);
-
-  dist::LocalPeerGroup group(4);
-  std::vector<dist::DistState<double>> shards;
+  const std::size_t lanes = 3;
+  auto shards = shard_panels<double>(random_lanes(rng, 5, lanes), plan.local_qubits, 4);
+  const auto metrics = run_shards(plan, shards);
   for (std::uint32_t r = 0; r < 4; ++r) {
-    shards.emplace_back(5, 2, r);
-    const std::uint64_t base = shards[r].base_index();
-    for (std::size_t i = 0; i < shards[r].dim(); ++i) {
-      shards[r].re()[i] = init[base + i].real();
-      shards[r].im()[i] = init[base + i].imag();
-    }
+    EXPECT_EQ(metrics[r].exchange_rounds, plan.stats.scheduled_rounds) << "rank " << r;
+    // Each pairwise round of an h=1 exchange ships both planes of every
+    // lane of the 2^3-amplitude shard once, in one frame.
+    EXPECT_EQ(metrics[r].bytes_moved,
+              plan.stats.scheduled_rounds * 2 * 8 * lanes * sizeof(double));
   }
-  std::vector<dist::DistRunMetrics> metrics(4);
+}
+
+TEST(ShardPanel, LaneCapKeepsFramesUnderTheBodyCap) {
+  constexpr std::size_t kCap = dist::kExchangeBodyCapBytes;
+  dist::RankProgram<double> rp;
+  rp.local_qubits = 14;
+  // No exchange step: the cap is min(group, 16), whatever the body cap.
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 3, kCap), 3u);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 40, kCap), dist::kMaxShardLanes);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 0, kCap), 1u);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 3, 0), 3u);
+  // A two-target step's last round ships 2 slots of 2^14 complex doubles
+  // per lane = 512 KiB: 15 lanes fit 8 MiB with the envelope, 16 do not.
+  dist::RankStep<double> step;
+  step.has_exchange = true;
+  step.peer_bits = {0, 1};
+  rp.steps.push_back(step);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 40, kCap), 15u);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 4, kCap), 4u);
+  // A smaller body cap lowers the lane count: 2 MiB holds 3 such lanes.
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 40, std::size_t{2} << 20), 3u);
+  // The lane count depends on the storage width: half frames are 4x smaller.
+  dist::RankProgram<f16> half;
+  half.local_qubits = 14;
+  half.steps.resize(1);
+  half.steps[0].peer_bits = {0, 1};
+  EXPECT_EQ(dist::shard_panel_lanes(half, 40, kCap), dist::kMaxShardLanes);
+  // A frame wider than the cap at one lane still runs one lane (the peer
+  // daemon then refuses it with 413 on every rank), as does a cap below
+  // the envelope itself.
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 8, std::size_t{256} << 10), 1u);
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 8, dist::kExchangeEnvelopeBytes / 2), 1u);
+  rp.local_qubits = 20;
+  EXPECT_EQ(dist::shard_panel_lanes(rp, 8, kCap), 1u);
+}
+
+/// A LocalPeerGroup endpoint that reports its own body cap.
+class CappedChannel final : public dist::PeerChannel {
+ public:
+  CappedChannel(std::shared_ptr<dist::PeerChannel> inner, std::size_t cap)
+      : inner_(std::move(inner)), cap_(cap) {}
+  void exchange(std::uint32_t peer, std::uint64_t seq, const void* send, void* recv,
+                std::size_t bytes) override {
+    inner_->exchange(peer, seq, send, recv, bytes);
+  }
+  std::size_t body_cap_bytes() const override { return cap_; }
+
+ private:
+  std::shared_ptr<dist::PeerChannel> inner_;
+  std::size_t cap_;
+};
+
+TEST(ShardPanel, GroupBodyCapIsTheSmallestOnEveryRank) {
+  dist::LocalPeerGroup group(4);
+  const std::vector<std::size_t> caps = {std::size_t{8} << 20, 1536, std::size_t{1} << 60,
+                                         std::size_t{3} << 20};
+  std::vector<std::size_t> agreed(4, 0);
+  std::vector<std::uint64_t> seqs(4, 0);
   std::vector<std::thread> threads;
   for (std::uint32_t r = 0; r < 4; ++r) {
     threads.emplace_back([&, r] {
-      const auto rp = dist::specialize_rank<double>(plan, r);
-      auto channel = group.channel(r);
-      std::uint64_t seq = 0;
-      dist::run_rank_program<double>(rp, shards[r], *channel, seq, &metrics[r]);
+      CappedChannel channel(group.channel(r), caps[r]);
+      agreed[r] = dist::group_body_cap(channel, r, 2, seqs[r]);
     });
   }
   for (auto& t : threads) t.join();
   for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(metrics[r].exchange_rounds, plan.stats.scheduled_rounds) << "rank " << r;
-    // Each pairwise round of an h=1 exchange ships both planes of the
-    // 2^3-amplitude shard once.
-    EXPECT_GE(metrics[r].bytes_moved, plan.stats.scheduled_rounds * 2 * 8 * sizeof(double));
+    EXPECT_EQ(agreed[r], 1536u) << "rank " << r;
+    EXPECT_EQ(seqs[r], 2u) << "rank " << r;  // one allreduce: log2(W) stages
   }
+  // An endpoint that reports nothing is sized for the default daemon cap.
+  EXPECT_EQ(group.channel(0)->body_cap_bytes(), dist::kExchangeBodyCapBytes);
 }
 
-TEST(DistState, ReductionsMatchPanel) {
+TEST(ShardPanel, ReductionsMatchPanel) {
   Xoshiro256 rng(26);
   const std::uint32_t n = 5;
-  const auto init = random_state(rng, n);
-  StatePanel<double> panel(n, 1);
-  for (std::size_t i = 0; i < init.size(); ++i) panel.set_amp(i, 0, init[i]);
-
-  std::vector<dist::DistState<double>> shards;
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    shards.emplace_back(n, 2, r);
-    const std::uint64_t base = shards[r].base_index();
-    for (std::size_t i = 0; i < shards[r].dim(); ++i) {
-      shards[r].re()[i] = init[base + i].real();
-      shards[r].im()[i] = init[base + i].imag();
+  const std::uint32_t m = 3;  // W = 4: qubits 3 and 4 partition
+  const std::size_t lanes = 3;
+  const auto init = random_lanes(rng, n, lanes);
+  // Masks over partition and local qubits; each set admits one rank.
+  const std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>> cases = {
+      {{2, 3}, {4}},     // rank 2 only
+      {{4}, {0, 3}},     // rank 1 only
+      {{1}, {}},         // every rank
+  };
+  for (const auto& [zeros, ones] : cases) {
+    StatePanel<double> panel(n, lanes);
+    for (std::size_t i = 0; i < panel.dim(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) panel.set_amp(i, l, init[l][i]);
     }
-  }
+    auto shards = shard_panels<double>(init, m, 4);
 
-  const std::vector<std::uint32_t> zeros = {2, 3};
-  const std::vector<std::uint32_t> ones = {4};
-  const auto p_panel = panel.probability_match(zeros, ones)[0];
-  double p_dist = 0.0;
-  for (const auto& s : shards) p_dist += s.probability_match_partial(zeros, ones);
-  EXPECT_NEAR(p_dist, p_panel, 1e-15);
+    const auto p_panel = panel.probability_match(zeros, ones);
+    std::vector<double> p_dist(lanes, 0.0);
+    std::uint32_t contributing = 0;
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      const auto part = dist::shard_probability_match(shards[r], r, zeros, ones);
+      const bool conflicts = !dist::shard_masks(m, r, zeros, ones).has_value();
+      contributing += conflicts ? 0 : 1;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        // A rank whose partition bits conflict contributes an exact zero.
+        if (conflicts) {
+          EXPECT_EQ(part[l], 0.0) << "rank " << r;
+        }
+        p_dist[l] += part[l];
+      }
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (contributing == 1) {
+        EXPECT_EQ(p_dist[l], p_panel[l]) << "lane " << l;  // one owner: bitwise
+      } else {
+        EXPECT_NEAR(p_dist[l], p_panel[l], 1e-15) << "lane " << l;
+      }
+    }
 
-  const auto norms = panel.lane_norms();
-  double nsq = 0.0;
-  for (const auto& s : shards) nsq += s.norm_squared_partial();
-  EXPECT_NEAR(std::sqrt(nsq), norms[0], 1e-13);
-
-  // postselect_scale with the global probability mirrors panel.postselect.
-  panel.postselect(zeros, ones);
-  for (auto& s : shards) s.postselect_scale(zeros, ones, p_dist);
-  for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
-    const auto got = shards[g >> 3].amp_global(g);
-    const auto want = panel.amp(g, 0);
-    EXPECT_NEAR(std::abs(got - want), 0.0, 1e-15) << "amp " << g;
+    // Projecting with the global probabilities mirrors panel.postselect.
+    panel.postselect(zeros, ones);
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      dist::shard_project(shards[r], r, zeros, ones, p_dist);
+    }
+    for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const auto got = shards[g >> m].amp(g & 7, l);
+        const auto want = panel.amp(g, l);
+        if (contributing == 1) {
+          EXPECT_EQ(got, want) << "amp " << g << " lane " << l;
+        } else {
+          EXPECT_NEAR(std::abs(got - want), 0.0, 1e-15) << "amp " << g << " lane " << l;
+        }
+      }
+    }
   }
 }
 

@@ -2,8 +2,9 @@
 // SolverService instances (one per rank, LocalPeerGroup transport
 // injected via ServiceOptions::shard_channel) solve the same request
 // concurrently and must return identical reports on every rank, agree
-// bitwise across world sizes, and match the single-node service within
-// the one-lane rounding tolerance. Also the memory-wall contract: a
+// bitwise across world sizes, and agree bitwise with a single-node
+// service whose panel width covers the whole job (both replay every tier
+// group as one panel of the same lanes). Also the memory-wall contract: a
 // qubit-capped service rejects a too-wide single-node job but admits the
 // same job as a member of a large enough shard group, and the dist
 // telemetry (result fields + Stats::dist) is populated.
@@ -20,6 +21,7 @@
 
 #include "common/rng.hpp"
 #include "linalg/random_matrix.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 
 namespace mpqls::service {
@@ -105,8 +107,9 @@ void expect_results_identical(const SolveResult& a, const SolveResult& b, const 
 
 TEST(DistService, ShardGroupsMatchSingleNodeAcrossWorldSizes) {
   const auto base = dist_request(8, 2, 42);
+  // One single-node panel covers the whole job, as one shard panel does.
   SolverService single(
-      {.cache_capacity = 2, .solve_threads = 1, .job_threads = 1, .panel_width = 1});
+      {.cache_capacity = 2, .solve_threads = 1, .job_threads = 1, .panel_width = 16});
   const auto want = single.solve(base);
   ASSERT_TRUE(want.all_converged);
   EXPECT_EQ(want.shard_world, 0u);  // single-node results carry no dist block
@@ -121,21 +124,11 @@ TEST(DistService, ShardGroupsMatchSingleNodeAcrossWorldSizes) {
   for (std::uint32_t r = 1; r < 4; ++r) {
     expect_results_identical(four[0], four[r], "W=4 rank vs rank");
   }
-  // Both world sizes reduce to the same one-lane replay arithmetic.
+  // Both world sizes, and the single-node service, reduce to the same
+  // panel replay arithmetic.
   expect_results_identical(two[0], four[0], "W=2 vs W=4");
-
-  // And the single-node service agrees within the one-lane rounding.
-  ASSERT_EQ(two[0].solves.size(), want.solves.size());
+  expect_results_identical(two[0], want, "W=2 vs single node");
   EXPECT_TRUE(two[0].all_converged);
-  for (std::size_t k = 0; k < want.solves.size(); ++k) {
-    const auto& got = two[0].solves[k].report;
-    const auto& ref = want.solves[k].report;
-    EXPECT_EQ(got.converged, ref.converged) << "rhs " << k;
-    ASSERT_EQ(got.x.size(), ref.x.size());
-    for (std::size_t i = 0; i < ref.x.size(); ++i) {
-      EXPECT_NEAR(got.x[i], ref.x[i], 1e-9) << "rhs " << k << " component " << i;
-    }
-  }
 
   // Per-rank dist telemetry landed in the results.
   for (std::uint32_t r = 0; r < 4; ++r) {
@@ -143,7 +136,43 @@ TEST(DistService, ShardGroupsMatchSingleNodeAcrossWorldSizes) {
     EXPECT_EQ(four[r].shard_world, 4u);
     EXPECT_GT(four[r].dist_exchange_rounds, 0u);
     EXPECT_GT(four[r].dist_bytes_moved, 0u);
+    // Dist jobs count their shard-panel sweeps like local panels, and
+    // sweep exactly the panels the single-node job sweeps.
+    EXPECT_GT(four[r].panels_executed, 0u);
+    EXPECT_EQ(four[r].panels_executed, want.panels_executed);
+    EXPECT_EQ(four[r].panel_lanes, want.panel_lanes);
     EXPECT_LE(four[r].dist_plan_scheduled_rounds, four[r].dist_plan_naive_rounds);
+  }
+}
+
+TEST(DistService, ShardGroupShapePaysExchangeRoundsPerSweep) {
+  // The perf_e2e shard_group shape: n = 64, kappa = 20, 8 RHS, adaptive,
+  // W = 2. Each tier group is one shard-panel sweep, so the plan's
+  // exchange rounds are paid once per sweep, not once per solve.
+  Xoshiro256 rng(46);
+  SolveRequest base;
+  base.id = "shard-shape";
+  base.A = linalg::random_with_cond(rng, 64, 20.0);
+  for (int k = 0; k < 8; ++k) base.rhs.push_back(linalg::random_unit_vector(rng, 64));
+  base.options.eps = 1e-11;
+  base.options.qsvt.eps_l = 5e-2;
+  base.options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  const auto ctx = qsvt::prepare_qsvt_solver(base.A, base.options.qsvt);
+  const auto plan = dist::build_exchange_plan(ctx.programs->ir(), 1);
+
+  const auto results = solve_group(base, 2);
+  expect_results_identical(results[0], results[1], "rank vs rank");
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.all_converged);
+    std::uint64_t solves = 0;
+    for (const auto& s : r.solves) {
+      for (const auto n : s.report.tier_solves) solves += n;
+    }
+    EXPECT_GT(r.panels_executed, 0u);
+    EXPECT_GT(r.panel_lanes, r.panels_executed);
+    EXPECT_EQ(r.panel_lanes, solves);
+    EXPECT_EQ(r.dist_exchange_rounds, plan.stats.scheduled_rounds * r.panels_executed);
+    EXPECT_LT(r.dist_exchange_rounds, plan.stats.scheduled_rounds * solves);
   }
 }
 

@@ -2,22 +2,26 @@
 // loop: W ranks each run solve_qsvt_ir_batch against the shared context
 // with a DistSolveSession wired in, exchanging amplitudes over a
 // LocalPeerGroup. Every rank must produce the identical report (the
-// lockstep contract the adaptive schedule relies on), 2- and 4-shard
-// results must agree bitwise with each other (both reduce to the same
-// one-lane replay arithmetic), and all must match the single-node solver
-// within the lane-count rounding tolerance.
+// lockstep contract the adaptive schedule relies on), and 2- and 4-shard
+// results must agree bitwise with each other and with the single-node
+// batch solver: every tier group replays as a shard panel with the same
+// lanes the single-node panel carries, so all reduce to the same panel
+// arithmetic.
 #include "solver/qsvt_ir.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <exception>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/random_matrix.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsvt/dist_solve.hpp"
 
@@ -94,20 +98,13 @@ TEST(DistSolve, DoubleTierShardsAgreeBitwiseAcrossWorldSizes) {
     expect_reports_identical(four[0][0], four[r][0], "W=4 rank vs rank");
   }
   // The postselected subspace fixes the partition qubits, so both world
-  // sizes reduce to the same one-lane replay arithmetic: bit-identical
-  // double-path results.
+  // sizes — and the single-node solver — reduce to the same panel replay
+  // arithmetic: bit-identical double-path results.
   expect_reports_identical(two[0][0], four[0][0], "W=2 vs W=4");
+  expect_reports_identical(two[0][0], solve_qsvt_ir(ctx, bs[0], options), "W=2 vs single");
 
   EXPECT_TRUE(two[0][0].converged);
   EXPECT_LE(two[0][0].scaled_residuals.back(), options.eps);
-
-  // And the single-node solver agrees within the lane-count rounding.
-  const auto want = solve_qsvt_ir(ctx, bs[0], options);
-  EXPECT_EQ(two[0][0].converged, want.converged);
-  EXPECT_EQ(two[0][0].iterations, want.iterations);
-  for (std::size_t i = 0; i < want.x.size(); ++i) {
-    EXPECT_NEAR(two[0][0].x[i], want.x[i], 1e-9) << "component " << i;
-  }
 }
 
 TEST(DistSolve, AdaptiveRefinementRunsLockstepAcrossShards) {
@@ -136,25 +133,27 @@ TEST(DistSolve, AdaptiveRefinementRunsLockstepAcrossShards) {
     EXPECT_TRUE(rep.dd128_verified) << "lane " << l;
   }
 
-  // Single-node adaptive agrees on the solution within tier tolerance.
+  // The single-node batch replays the same two-lane panels at every tier,
+  // so adaptive agrees bitwise too.
+  const auto want =
+      solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(bs), options);
   for (std::size_t l = 0; l < bs.size(); ++l) {
-    const auto want = solve_qsvt_ir(ctx, bs[l], options);
-    ASSERT_EQ(per_rank[0][l].x.size(), want.x.size());
-    for (std::size_t i = 0; i < want.x.size(); ++i) {
-      EXPECT_NEAR(per_rank[0][l].x[i], want.x[i], 1e-9) << "lane " << l << " component " << i;
-    }
+    expect_reports_identical(per_rank[0][l], want[l], "adaptive dist vs single");
   }
 }
 
 TEST(DistSolve, SessionStatsCountExchangesAndScheduleWin) {
   Xoshiro256 rng(72);
   const auto A = linalg::random_with_cond(rng, 8, 5.0);
-  std::vector<linalg::Vector<double>> bs = {linalg::random_unit_vector(rng, 8)};
+  std::vector<linalg::Vector<double>> bs;
+  for (int k = 0; k < 3; ++k) bs.push_back(linalg::random_unit_vector(rng, 8));
   const auto options = base_options();
   const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+  const auto plan = qsim::exec::dist::build_exchange_plan(ctx.programs->ir(), 1);
 
   qsim::exec::dist::LocalPeerGroup group(2);
   std::vector<std::shared_ptr<qsvt::dist::DistSolveSession>> sessions(2);
+  std::vector<BatchSolveStats> batch_stats(2);
   std::vector<std::exception_ptr> errors(2);
   std::vector<std::thread> threads;
   for (std::uint32_t r = 0; r < 2; ++r) {
@@ -164,7 +163,8 @@ TEST(DistSolve, SessionStatsCountExchangesAndScheduleWin) {
       try {
         QsvtIrOptions opts = options;
         opts.dist = sessions[r];
-        (void)solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(bs), opts);
+        (void)solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(bs), opts,
+                                  &batch_stats[r]);
       } catch (...) {
         errors[r] = std::current_exception();
       }
@@ -176,12 +176,58 @@ TEST(DistSolve, SessionStatsCountExchangesAndScheduleWin) {
   }
   for (std::uint32_t r = 0; r < 2; ++r) {
     const auto& s = sessions[r]->stats();
-    EXPECT_GT(s.solves, 0u) << "rank " << r;
+    const auto& b = batch_stats[r];
+    // Dist sweeps are panel sweeps: the three lanes share every replay.
+    EXPECT_GT(b.panels_executed, 0u) << "rank " << r;
+    EXPECT_EQ(b.panel_lanes_total, s.solves) << "rank " << r;
+    EXPECT_LT(b.panels_executed, s.solves) << "rank " << r;
+    // Exchange rounds are paid per sweep, not per right-hand side.
     EXPECT_GT(s.exchange_rounds, 0u) << "rank " << r;
+    EXPECT_EQ(s.exchange_rounds, plan.stats.scheduled_rounds * b.panels_executed)
+        << "rank " << r;
+    EXPECT_EQ(s.plan_scheduled_rounds, plan.stats.scheduled_rounds * b.panels_executed)
+        << "rank " << r;
     EXPECT_GT(s.bytes_moved, 0u) << "rank " << r;
     // The scheduling pass must beat the classification-blind baseline on
     // the production QSVT program.
     EXPECT_LT(s.plan_scheduled_rounds, s.plan_naive_rounds) << "rank " << r;
+  }
+}
+
+/// A postselection that no amplitude survives must fail every rank at
+/// once with the real error, not leave the ranks that own none of the
+/// surviving subspace waiting on the direction allreduce. A right-hand
+/// side whose norm overflows to inf normalizes to the zero state, so the
+/// allreduced probability is exactly 0 on every rank.
+TEST(DistSolve, ZeroProbabilityFailsEveryRankPromptly) {
+  Xoshiro256 rng(74);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  linalg::Vector<double> b(16);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1e308;
+  const auto options = base_options();
+  const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+
+  // The exchange timeout is far above the bound asserted below, so a
+  // rank left waiting on its peer shows up as a slow transport error.
+  qsim::exec::dist::LocalPeerGroup group(2, std::chrono::milliseconds(30000));
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> threads;
+  const auto started = std::chrono::steady_clock::now();
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      qsvt::dist::DistSolveSession session(qsvt::dist::DistConfig{r, 1, group.channel(r)});
+      try {
+        (void)session.solve_directions(ctx, {&b}, qsvt::QpuPrecision::kDouble);
+      } catch (const std::exception& e) {
+        errors[r] = e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(10));
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_NE(errors[r].find("zero-probability postselection"), std::string::npos)
+        << "rank " << r << ": " << errors[r];
   }
 }
 
