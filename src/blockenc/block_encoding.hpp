@@ -19,7 +19,7 @@ struct BlockEncoding {
   std::uint32_t n_data = 0;
   std::uint32_t n_anc = 0;
   double alpha = 1.0;         ///< subnormalization factor
-  std::string method;         ///< "dense-embedding", "lcu-pauli", "fable", ...
+  std::string method;         ///< "dense-embedding", "lcu-pauli", ...
   std::uint64_t classical_flops = 0;  ///< preprocessing cost on the CPU
 
   std::uint32_t total_qubits() const { return n_data + n_anc; }

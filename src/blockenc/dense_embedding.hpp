@@ -2,7 +2,7 @@
 // unitary completion  U = [[B, sqrt(I-BB^T)], [sqrt(I-B^T B), -B^T]] with
 // B = A/alpha, built from the SVD. This is the workhorse encoding for
 // simulator experiments (the circuit carries U as a dense payload); the
-// LCU / FABLE / tridiagonal encoders provide gate-level alternatives.
+// LCU / tridiagonal encoders provide gate-level alternatives.
 #pragma once
 
 #include "blockenc/block_encoding.hpp"

@@ -1,8 +1,7 @@
-// BLAS-style dense kernels templated on scalar type. Level-2/3 kernels on
-// built-in floating types are parallelized with OpenMP. All kernels report
-// their flop counts to the thread-local flop ledger (see flops.hpp) so the
-// classical-cost columns of the paper's Table II can be measured rather
-// than asserted.
+// BLAS-style dense kernels templated on scalar type, serial on the calling
+// thread. All kernels report their flop counts to the thread-local flop
+// ledger (see flops.hpp) so the classical-cost columns of the paper's
+// Table II can be measured rather than asserted.
 #pragma once
 
 #include <cmath>
@@ -88,13 +87,11 @@ template <typename T>
 Vector<T> matvec(const Matrix<T>& A, const Vector<T>& x) {
   expects(A.cols() == x.size(), "matvec: size mismatch");
   Vector<T> y(A.rows(), T{});
-  const std::int64_t m = static_cast<std::int64_t>(A.rows());
-#pragma omp parallel for if (m >= 256)
-  for (std::int64_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < A.rows(); ++i) {
     T s{};
-    const T* arow = A.row(static_cast<std::size_t>(i));
+    const T* arow = A.row(i);
     for (std::size_t j = 0; j < A.cols(); ++j) s += arow[j] * x[j];
-    y[static_cast<std::size_t>(i)] = s;
+    y[i] = s;
   }
   count_flops(2 * A.rows() * A.cols());
   return y;
@@ -119,14 +116,11 @@ template <typename T>
 Matrix<T> gemm(const Matrix<T>& A, const Matrix<T>& B) {
   expects(A.cols() == B.rows(), "gemm: inner dimension mismatch");
   Matrix<T> C(A.rows(), B.cols());
-  const std::int64_t m = static_cast<std::int64_t>(A.rows());
-#pragma omp parallel for if (m >= 64)
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
+  for (std::size_t i = 0; i < A.rows(); ++i) {
     for (std::size_t k = 0; k < A.cols(); ++k) {
-      const T aik = A(si, k);
+      const T aik = A(i, k);
       const T* brow = B.row(k);
-      T* crow = C.row(si);
+      T* crow = C.row(i);
       for (std::size_t j = 0; j < B.cols(); ++j) crow[j] += aik * brow[j];
     }
   }

@@ -81,14 +81,12 @@ CsrMatrix CsrMatrix::dirichlet_laplacian_2d(std::size_t nx, std::size_t ny) {
 Vector<double> CsrMatrix::multiply(const Vector<double>& x) const {
   expects(x.size() == cols_count_, "csr multiply: size mismatch");
   Vector<double> y(rows(), 0.0);
-  const std::int64_t nrows = static_cast<std::int64_t>(rows());
-#pragma omp parallel for if (nrows >= 4096)
-  for (std::int64_t i = 0; i < nrows; ++i) {
+  for (std::size_t i = 0; i < rows(); ++i) {
     double s = 0.0;
     for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
       s += values_[k] * x[col_idx_[k]];
     }
-    y[static_cast<std::size_t>(i)] = s;
+    y[i] = s;
   }
   count_flops(2 * nonzeros());
   return y;

@@ -22,9 +22,7 @@ double ChebSeries::evaluate(double x) const {
 
 std::vector<double> ChebSeries::evaluate(const std::vector<double>& xs) const {
   std::vector<double> out(xs.size());
-  const std::int64_t n = static_cast<std::int64_t>(xs.size());
-#pragma omp parallel for if (n >= 1024)
-  for (std::int64_t i = 0; i < n; ++i) out[i] = evaluate(xs[i]);
+  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = evaluate(xs[i]);
   return out;
 }
 
@@ -109,14 +107,12 @@ ChebSeries cheb_interpolate(const std::function<double(double)>& f, int degree) 
     fx[j] = f(x);
   }
   std::vector<double> coeffs(n);
-  const std::int64_t nn = n;
-#pragma omp parallel for if (nn >= 512)
-  for (std::int64_t k = 0; k < nn; ++k) {
+  for (int k = 0; k < n; ++k) {
     double s = 0.0;
     for (int j = 0; j < n; ++j) {
       s += fx[j] * std::cos(M_PI * k * (j + 0.5) / n);
     }
-    coeffs[static_cast<std::size_t>(k)] = (k == 0 ? 1.0 : 2.0) * s / n;
+    coeffs[k] = (k == 0 ? 1.0 : 2.0) * s / n;
   }
   return ChebSeries(std::move(coeffs));
 }

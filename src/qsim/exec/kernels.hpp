@@ -1,9 +1,11 @@
 // The op kernels of every compiled replay: batched panels, one-lane
 // panels (single right-hand sides) and distributed shards all run these
 // bodies against split real/imaginary planes with the lane index
-// innermost (see panel.hpp). Which loop drives a kernel (OpenMP or
-// serial) never changes the per-amplitude arithmetic, so results are
-// reproducible for a fixed lane count.
+// innermost (see panel.hpp). Each kernel is one serial loop over
+// amplitudes with a SIMD inner loop over lanes: parallelism lives one
+// level up, where the service's solve pool replays independent panels on
+// its own threads. A result depends only on the program and the lane
+// count, never on how many threads the process runs.
 #pragma once
 
 #include <algorithm>
@@ -38,16 +40,6 @@ std::uint64_t expand_index(std::uint64_t compact, const CompiledOp<T>& op) {
 // by heavily-controlled ops with short inner loops, and a compile-time
 // lane count unrolls them into straight-line SIMD.
 
-// Below-threshold registers skip the OpenMP region entirely: entering a
-// (even one-thread) parallel region per op costs more than a whole
-// small-register sweep, and the compiled hot path runs thousands of ops.
-// The thresholds count amplitude-lanes — every enumerated amplitude does
-// `lanes` lanes of work, so a B-lane panel goes parallel at 1/B of the
-// register size a one-lane replay needs.
-inline constexpr std::int64_t kParallelPairWork = std::int64_t{1} << 13;
-inline constexpr std::int64_t kParallelBlockWork = std::int64_t{1} << 11;
-inline constexpr std::int64_t kParallelAmpWork = std::int64_t{1} << 14;
-
 template <int kLanes, typename T>
 void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
                     std::int64_t lanes_rt) {
@@ -69,7 +61,7 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   const C m01r = op.m01.real(), m01i = op.m01.imag();
   const C m10r = op.m10.real(), m10i = op.m10.imag();
   const C m11r = op.m11.real(), m11i = op.m11.imag();
-  auto chunk_kernel = [&](std::int64_t ii) {
+  for (std::int64_t ii = 0; ii < pairs; ii += chunk) {
     const std::uint64_t i0 = expand_index(static_cast<std::uint64_t>(ii), op);
     const std::uint64_t i1 = i0 | bit;
     T* r0 = re + static_cast<std::int64_t>(i0) * lanes;
@@ -85,29 +77,27 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       r1[j] = static_cast<T>(m10r * re0 - m10i * im0 + m11r * re1 - m11i * im1);
       q1[j] = static_cast<T>(m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1);
     }
-  };
-  if (pairs * lanes >= kParallelPairWork) {
-#pragma omp parallel for
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
-  } else {
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
   }
 }
 
-/// Dense block kernel for compile-time lane count AND sub-dimension:
-/// the r/s loops fully unroll and the row accumulators are fixed-size
-/// locals (registers, not scratch memory — a heap accumulator would
-/// alias the gathered sub-panel and force a reload/spill per multiply).
+/// Dense block kernel for a compile-time lane count. kSub > 0 fixes the
+/// sub-dimension too, so the r/s loops fully unroll (fused windows);
+/// kSub == 0 takes it at run time (the wide block-encoding windows).
+/// Either way the row accumulators are fixed-size locals (registers, not
+/// scratch memory — a heap accumulator would alias the gathered sub-panel
+/// and force a reload/spill per multiply, and its speed would hang on
+/// where malloc placed the scratch buffer).
 template <int kLanes, int kSub, typename T>
 void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restrict__ im,
-                       std::int64_t bb, exec_compute_t<T>* __restrict__ sre,
-                       exec_compute_t<T>* __restrict__ sim) {
+                       std::size_t sub_dim, std::int64_t bb,
+                       exec_compute_t<T>* __restrict__ sre, exec_compute_t<T>* __restrict__ sim) {
   using C = exec_compute_t<T>;
+  const int sub = kSub > 0 ? kSub : static_cast<int>(sub_dim);
   const std::uint64_t* offsets = op.offsets.data();
   const C* __restrict__ mre = op.payload_re.data();
   const C* __restrict__ mim = op.payload_im.data();
   const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
-  for (int s = 0; s < kSub; ++s) {
+  for (int s = 0; s < sub; ++s) {
     const T* __restrict__ src_re = re + static_cast<std::int64_t>(base | offsets[s]) * kLanes;
     const T* __restrict__ src_im = im + static_cast<std::int64_t>(base | offsets[s]) * kLanes;
 #pragma omp simd
@@ -116,12 +106,12 @@ void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restric
       sim[s * kLanes + l] = static_cast<C>(src_im[l]);
     }
   }
-  for (int r = 0; r < kSub; ++r) {
-    const C* __restrict__ rre = mre + r * kSub;
-    const C* __restrict__ rim = mim + r * kSub;
+  for (int r = 0; r < sub; ++r) {
+    const C* __restrict__ rre = mre + r * sub;
+    const C* __restrict__ rim = mim + r * sub;
     C acc_re[kLanes] = {};
     C acc_im[kLanes] = {};
-    for (int s = 0; s < kSub; ++s) {
+    for (int s = 0; s < sub; ++s) {
       const C mr = rre[s], mi = rim[s];
       const C* __restrict__ xr = sre + s * kLanes;
       const C* __restrict__ xi = sim + s * kLanes;
@@ -224,7 +214,8 @@ void panel_dense_block_generic(const CompiledOp<T>& op, T* re, T* im, std::size_
 
 /// Scratch length (in exec_compute_t<T> elements) one dense panel op of
 /// sub-dimension `sub_dim` needs at `lanes` lanes: the gathered sub-panel
-/// in split planes plus one accumulator row for the generic path.
+/// in split planes plus one accumulator row for the run-time lane count
+/// path.
 inline std::size_t panel_dense_scratch_len(std::size_t sub_dim, std::int64_t lanes) {
   return (2 * sub_dim + 2) * static_cast<std::size_t>(lanes);
 }
@@ -237,37 +228,28 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
   const std::int64_t blocks = n >> op.free_shift;
   // Gathered sub-panel in split planes ([sub_dim][lanes] re then im);
-  // the generic path also keeps one accumulator row here.
+  // the run-time lane count path also keeps one accumulator row here.
   const std::size_t scratch_len = panel_dense_scratch_len(sub_dim, lanes);
   auto block_kernel = [&](std::int64_t bb, C* scratch) {
     if constexpr (kLanes == 1) {
       dense_block_one_lane(op, re, im, sub_dim, bb, scratch, scratch + sub_dim);
     } else if constexpr (kLanes > 0) {
       C* sim = scratch + sub_dim * static_cast<std::size_t>(kLanes);
-      // Fused windows are <= 3 qubits by default; wider payloads (a
-      // raised max_fuse_qubits, the block-encoding unitary) take the
-      // generic loop.
+      // Fused windows are <= 3 qubits by default and unroll fully; wider
+      // payloads (a raised max_fuse_qubits, the block-encoding unitary)
+      // loop over a run-time sub-dimension.
       switch (op.num_targets) {
-        case 1: panel_dense_block<kLanes, 2>(op, re, im, bb, scratch, sim); return;
-        case 2: panel_dense_block<kLanes, 4>(op, re, im, bb, scratch, sim); return;
-        case 3: panel_dense_block<kLanes, 8>(op, re, im, bb, scratch, sim); return;
-        default: panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch); return;
+        case 1: panel_dense_block<kLanes, 2>(op, re, im, sub_dim, bb, scratch, sim); return;
+        case 2: panel_dense_block<kLanes, 4>(op, re, im, sub_dim, bb, scratch, sim); return;
+        case 3: panel_dense_block<kLanes, 8>(op, re, im, sub_dim, bb, scratch, sim); return;
+        default: panel_dense_block<kLanes, 0>(op, re, im, sub_dim, bb, scratch, sim); return;
       }
     } else {
       panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch);
     }
   };
-  if (blocks * lanes >= kParallelBlockWork) {
-#pragma omp parallel
-    {
-      std::vector<C> scratch(scratch_len);
-#pragma omp for
-      for (std::int64_t bb = 0; bb < blocks; ++bb) block_kernel(bb, scratch.data());
-    }
-  } else {
-    if (run_scratch.size() < scratch_len) run_scratch.resize(scratch_len);
-    for (std::int64_t bb = 0; bb < blocks; ++bb) block_kernel(bb, run_scratch.data());
-  }
+  if (run_scratch.size() < scratch_len) run_scratch.resize(scratch_len);
+  for (std::int64_t bb = 0; bb < blocks; ++bb) block_kernel(bb, run_scratch.data());
 }
 
 template <int kLanes, typename T>
@@ -279,7 +261,7 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   const std::int64_t count = n >> op.free_shift;  // firing amplitudes only
   const std::uint64_t* target_bits = op.target_bits.data();
   const std::complex<C>* d = op.payload.data();
-  auto amp_kernel = [&](std::int64_t ii) {
+  for (std::int64_t ii = 0; ii < count; ++ii) {
     const std::uint64_t i = expand_index(static_cast<std::uint64_t>(ii), op);
     std::uint64_t sub = 0;
     for (std::uint32_t t = 0; t < k; ++t) {
@@ -294,12 +276,6 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       r[l] = static_cast<T>(dr * ar - di * ai);
       q[l] = static_cast<T>(dr * ai + di * ar);
     }
-  };
-  if (count * lanes >= kParallelAmpWork) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
-  } else {
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
   }
 }
 
@@ -309,20 +285,11 @@ void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   using C = exec_compute_t<T>;
   const C pr = op.phase.real(), pi = op.phase.imag();
   const std::int64_t total = n * lanes;  // lanes are contiguous: one flat sweep
-  if (total >= kParallelAmpWork) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < total; ++i) {
-      const C ar = static_cast<C>(re[i]), ai = static_cast<C>(im[i]);
-      re[i] = static_cast<T>(pr * ar - pi * ai);
-      im[i] = static_cast<T>(pr * ai + pi * ar);
-    }
-  } else {
 #pragma omp simd
-    for (std::int64_t i = 0; i < total; ++i) {
-      const C ar = static_cast<C>(re[i]), ai = static_cast<C>(im[i]);
-      re[i] = static_cast<T>(pr * ar - pi * ai);
-      im[i] = static_cast<T>(pr * ai + pi * ar);
-    }
+  for (std::int64_t i = 0; i < total; ++i) {
+    const C ar = static_cast<C>(re[i]), ai = static_cast<C>(im[i]);
+    re[i] = static_cast<T>(pr * ar - pi * ai);
+    im[i] = static_cast<T>(pr * ai + pi * ar);
   }
 }
 

@@ -137,11 +137,7 @@ class StatePanel {
       inv[l] = static_cast<T>(1.0 / std::sqrt(p[l]));
     }
     const auto [zero_mask, one_mask] = masks(zeros, ones);
-    const std::int64_t n = static_cast<std::int64_t>(dim_);
-    const std::int64_t work = n * static_cast<std::int64_t>(lanes_);
-#pragma omp parallel for if (work >= (std::int64_t{1} << 15))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < dim_; ++i) {
       T* r = re_.data() + i * lanes_;
       T* q = im_.data() + i * lanes_;
       if ((i & zero_mask) == 0 && (i & one_mask) == one_mask) {

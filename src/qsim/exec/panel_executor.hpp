@@ -16,11 +16,11 @@
 // lane has its own dense kernel, which vectorizes across each window's
 // sub-dimension instead (see kernels.hpp).
 //
-// OpenMP parallelism splits over amplitude blocks (never over lanes — the
-// lane loop is the SIMD dimension); thresholds scale with the lane count
-// so a B-lane panel enters a parallel region at 1/B of the one-lane
-// register size. The replayer is stateless and reentrant: one program can
-// be replayed from many threads onto distinct panels.
+// A replay runs on the calling thread; the lane loop is the SIMD
+// dimension. Parallelism comes from replaying distinct panels on distinct
+// threads (the service's solve pool), which the replayer allows: it is
+// stateless and reentrant, so one program can be replayed from many
+// threads at once.
 //
 // The op bodies live in qsim/exec/kernels.hpp; clean gate-level solves
 // call `run` directly (qsvt/solve.cpp), with no dispatch layer between.
@@ -68,7 +68,7 @@ class PanelExecutor {
     T* im = panel.im();
     const std::int64_t n = static_cast<std::int64_t>(panel.dim());
     const std::int64_t lanes = static_cast<std::int64_t>(panel.lanes());
-    std::vector<C> scratch;  // shared by the serial dense ops
+    std::vector<C> scratch;  // shared by every dense op of the sweep
     for (const auto& op : program.ops) {
       kernels::panel_apply_op<kLanes>(op, re, im, n, lanes, scratch);
     }

@@ -2,7 +2,8 @@
 // double). The float instantiation is the "mixed-precision native" backend
 // the repro calls for: it makes the QPU's arithmetic genuinely lower
 // precision than the CPU's, in addition to the paper's algorithmic accuracy
-// knob eps_l. Gate kernels are OpenMP-parallel over amplitude pairs.
+// knob eps_l. Every kernel and reduction is a serial loop in amplitude
+// order; concurrent solves parallelize across registers, not within one.
 #pragma once
 
 #include <algorithm>
@@ -53,18 +54,14 @@ class Statevector {
   complex_type* data() { return amps_.data(); }
   const complex_type* data() const { return amps_.data(); }
 
-  // The reductions below (norm, probability, probability_all_zero) run in
-  // parallel for registers of >= 2^15 amplitudes. Parallel summation order
-  // depends on the OpenMP thread count, so their results — and everything
-  // downstream (postselect normalization, residuals) — are bitwise
-  // reproducible only for a fixed thread count. Below the threshold (all
-  // registers the test suite uses) the sums are serial and exact order is
-  // preserved.
+  // The reductions below (norm, probability, probability_all_zero) sum
+  // left to right in amplitude order at every register size, so their
+  // results — and everything downstream (postselect normalization,
+  // residuals) — are bitwise reproducible whatever the process's thread
+  // count.
   double norm() const {
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
     double s = 0.0;
-#pragma omp parallel for reduction(+ : s) if (n >= (1 << 15))
-    for (std::int64_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < amps_.size(); ++i) {
       s += std::norm(std::complex<double>(amps_[i].real(), amps_[i].imag()));
     }
     return std::sqrt(s);
@@ -128,11 +125,8 @@ class Statevector {
   /// Probability that qubit q measures `value`.
   double probability(std::uint32_t q, int value) const {
     const std::uint64_t bit = std::uint64_t{1} << q;
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
     double p = 0.0;
-#pragma omp parallel for reduction(+ : p) if (n >= (1 << 15))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
       if (((i & bit) != 0) == (value != 0)) {
         p += std::norm(std::complex<double>(amps_[i].real(), amps_[i].imag()));
       }
@@ -144,11 +138,8 @@ class Statevector {
   double probability_all_zero(const std::vector<std::uint32_t>& qubits) const {
     std::uint64_t mask = 0;
     for (auto q : qubits) mask |= std::uint64_t{1} << q;
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
     double p = 0.0;
-#pragma omp parallel for reduction(+ : p) if (n >= (1 << 15))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
       if ((i & mask) == 0) {
         p += std::norm(std::complex<double>(amps_[i].real(), amps_[i].imag()));
       }
@@ -176,10 +167,8 @@ class Statevector {
 
   /// Full measurement distribution |amp_i|^2.
   std::vector<double> probabilities() const {
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
     std::vector<double> p(amps_.size());
-#pragma omp parallel for if (n >= (1 << 15))
-    for (std::int64_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < amps_.size(); ++i) {
       p[i] = std::norm(std::complex<double>(amps_[i].real(), amps_[i].imag()));
     }
     return p;
@@ -221,10 +210,7 @@ class Statevector {
     const complex_type m01(static_cast<T>(m(0, 1).real()), static_cast<T>(m(0, 1).imag()));
     const complex_type m10(static_cast<T>(m(1, 0).real()), static_cast<T>(m(1, 0).imag()));
     const complex_type m11(static_cast<T>(m(1, 1).real()), static_cast<T>(m(1, 1).imag()));
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for if (n >= (1 << 14))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
       if ((i & bit) != 0) continue;
       if (!controls_pass(i, pos_mask, neg_mask)) continue;
       const std::uint64_t j = i | bit;
@@ -239,10 +225,7 @@ class Statevector {
                   std::uint64_t neg_mask) {
     const std::uint64_t b1 = std::uint64_t{1} << q1;
     const std::uint64_t b2 = std::uint64_t{1} << q2;
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for if (n >= (1 << 14))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
       // Representative: q1 = 1, q2 = 0.
       if ((i & b1) == 0 || (i & b2) != 0) continue;
       if (!controls_pass(i, pos_mask, neg_mask)) continue;
@@ -254,10 +237,7 @@ class Statevector {
   void apply_diagonal(const std::vector<std::uint32_t>& targets, const std::vector<c64>& diag,
                       bool adjoint, std::uint64_t pos_mask, std::uint64_t neg_mask) {
     const std::size_t k = targets.size();
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for if (n >= (1 << 14))
-    for (std::int64_t ii = 0; ii < n; ++ii) {
-      const std::uint64_t i = static_cast<std::uint64_t>(ii);
+    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
       if (!controls_pass(i, pos_mask, neg_mask)) continue;
       std::uint64_t sub = 0;
       for (std::size_t t = 0; t < k; ++t) {
@@ -276,32 +256,26 @@ class Statevector {
     std::uint64_t target_mask = 0;
     for (auto q : targets) target_mask |= std::uint64_t{1} << q;
 
-    const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel
-    {
-      std::vector<complex_type> scratch(sub_dim);
-      std::vector<std::uint64_t> idx(sub_dim);
-#pragma omp for
-      for (std::int64_t bb = 0; bb < n; ++bb) {
-        const std::uint64_t base = static_cast<std::uint64_t>(bb);
-        if ((base & target_mask) != 0) continue;  // representative: targets all 0
-        if (!controls_pass(base, pos_mask, neg_mask)) continue;
+    std::vector<complex_type> scratch(sub_dim);
+    std::vector<std::uint64_t> idx(sub_dim);
+    for (std::uint64_t base = 0; base < amps_.size(); ++base) {
+      if ((base & target_mask) != 0) continue;  // representative: targets all 0
+      if (!controls_pass(base, pos_mask, neg_mask)) continue;
+      for (std::size_t s = 0; s < sub_dim; ++s) {
+        std::uint64_t off = 0;
+        for (std::size_t t = 0; t < k; ++t) {
+          if (s & (std::size_t{1} << t)) off |= std::uint64_t{1} << targets[t];
+        }
+        idx[s] = base | off;
+        scratch[s] = amps_[idx[s]];
+      }
+      for (std::size_t r = 0; r < sub_dim; ++r) {
+        std::complex<double> acc{};
         for (std::size_t s = 0; s < sub_dim; ++s) {
-          std::uint64_t off = 0;
-          for (std::size_t t = 0; t < k; ++t) {
-            if (s & (std::size_t{1} << t)) off |= std::uint64_t{1} << targets[t];
-          }
-          idx[s] = base | off;
-          scratch[s] = amps_[idx[s]];
+          const c64 mrs = adjoint ? std::conj(m(s, r)) : m(r, s);
+          acc += mrs * std::complex<double>(scratch[s].real(), scratch[s].imag());
         }
-        for (std::size_t r = 0; r < sub_dim; ++r) {
-          std::complex<double> acc{};
-          for (std::size_t s = 0; s < sub_dim; ++s) {
-            const c64 mrs = adjoint ? std::conj(m(s, r)) : m(r, s);
-            acc += mrs * std::complex<double>(scratch[s].real(), scratch[s].imag());
-          }
-          amps_[idx[r]] = complex_type(static_cast<T>(acc.real()), static_cast<T>(acc.imag()));
-        }
+        amps_[idx[r]] = complex_type(static_cast<T>(acc.real()), static_cast<T>(acc.imag()));
       }
     }
   }

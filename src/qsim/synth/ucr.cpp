@@ -70,39 +70,4 @@ void append_ucrz(Circuit& circuit, const std::vector<std::uint32_t>& controls,
   append_ucr(circuit, controls, target, angles, Axis::kZ);
 }
 
-std::size_t append_ucry_pruned(Circuit& circuit, const std::vector<std::uint32_t>& controls,
-                               std::uint32_t target, const std::vector<double>& angles,
-                               double cutoff) {
-  const std::size_t k = controls.size();
-  expects(angles.size() == (std::size_t{1} << k), "ucr: angle count must be 2^k");
-  if (k == 0) {
-    if (std::abs(angles[0]) > cutoff) {
-      circuit.ry(target, angles[0]);
-      return 1;
-    }
-    return 0;
-  }
-  const std::vector<double> theta = walk_angles(angles);
-  const std::size_t m = angles.size();
-  std::uint64_t parity = 0;  // pending CNOT mask, flushed before each kept RY
-  std::size_t kept = 0;
-  auto flush = [&] {
-    for (std::size_t b = 0; b < k; ++b) {
-      if (parity & (std::uint64_t{1} << b)) circuit.cx(controls[b], target);
-    }
-    parity = 0;
-  };
-  for (std::size_t i = 0; i < m; ++i) {
-    if (std::abs(theta[i]) > cutoff) {
-      flush();
-      circuit.ry(target, theta[i]);
-      ++kept;
-    }
-    const std::uint64_t change = gray(i) ^ gray((i + 1) % m);
-    parity ^= change;
-  }
-  flush();  // close the walk so the net CNOT parity is preserved
-  return kept;
-}
-
 }  // namespace mpqls::qsim

@@ -1,8 +1,9 @@
 // Uniformly controlled single-qubit rotations (Mottonen et al. 2004,
 // Shende-Bullock-Markov 2006): for control register value x, apply
 // R(angles[x]) to the target. Compiled to 2^k plain rotations interleaved
-// with CNOTs along a Gray-code walk — the core primitive behind both the
-// Kerenidis-Prakash state-preparation tree [23] and FABLE [10].
+// with CNOTs along a Gray-code walk — the core primitive behind the
+// Kerenidis-Prakash state-preparation tree [23] and HHL's eigenvalue
+// rotation.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +22,5 @@ void append_ucry(Circuit& circuit, const std::vector<std::uint32_t>& controls,
 /// Append a uniformly controlled RZ (same indexing).
 void append_ucrz(Circuit& circuit, const std::vector<std::uint32_t>& controls,
                  std::uint32_t target, const std::vector<double>& angles);
-
-/// FABLE-style compressed UCRY: rotations whose Gray-walk angle falls
-/// below `cutoff` are dropped and the CNOTs around them are merged (the
-/// walk tracks an XOR parity mask and only emits the difference). Returns
-/// the number of rotations kept. With cutoff = 0 this is an exact,
-/// CNOT-optimal re-expression of append_ucry.
-std::size_t append_ucry_pruned(Circuit& circuit, const std::vector<std::uint32_t>& controls,
-                               std::uint32_t target, const std::vector<double>& angles,
-                               double cutoff);
 
 }  // namespace mpqls::qsim

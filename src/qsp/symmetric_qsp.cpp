@@ -33,42 +33,56 @@ inline M2 z_phase(double phi) {
   return {std::exp(c64(0, phi)), 0, 0, std::exp(c64(0, -phi))};
 }
 
-M2 qsp_matrix(const std::vector<double>& phases, double x) {
+/// e^{i phi_j Z} for every phase. They depend only on the phases, so a
+/// caller evaluating one phase vector at many signals builds them once
+/// (two complex exps per phase) instead of once per signal.
+std::vector<M2> z_phases(const std::vector<double>& phases) {
   expects(!phases.empty(), "qsp needs at least one phase");
+  std::vector<M2> z(phases.size());
+  for (std::size_t j = 0; j < phases.size(); ++j) z[j] = z_phase(phases[j]);
+  return z;
+}
+
+M2 qsp_matrix(const std::vector<M2>& z, double x) {
   const M2 w = w_matrix(x);
-  M2 u = z_phase(phases[0]);
-  for (std::size_t j = 1; j < phases.size(); ++j) {
-    u = mul(u, mul(w, z_phase(phases[j])));
-  }
+  M2 u = z[0];
+  for (std::size_t j = 1; j < z.size(); ++j) u = mul(u, mul(w, z[j]));
   return u;
+}
+
+double response(const std::vector<M2>& z, double x) { return qsp_matrix(z, x).a.imag(); }
+
+/// The response at the n Gauss-Chebyshev nodes cos(pi (j + 1/2) / n).
+std::vector<double> node_values(const std::vector<M2>& z, int n) {
+  std::vector<double> g(n);
+  for (int j = 0; j < n; ++j) g[j] = response(z, std::cos(M_PI * (j + 0.5) / n));
+  return g;
+}
+
+/// Coefficient of T_k by Gauss-Chebyshev quadrature over node_values.
+double cheb_coeff(const std::vector<double>& g, int k) {
+  const int n = static_cast<int>(g.size());
+  double s = 0.0;
+  for (int j = 0; j < n; ++j) s += g[j] * std::cos(M_PI * k * (j + 0.5) / n);
+  return (k == 0 ? 1.0 : 2.0) * s / n;
 }
 
 }  // namespace
 
 Su2 qsp_unitary(const std::vector<double>& phases, double x) {
-  const M2 u = qsp_matrix(phases, x);
+  const M2 u = qsp_matrix(z_phases(phases), x);
   return {u.a, u.b, u.c, u.d};
 }
 
 double qsp_response(const std::vector<double>& phases, double x) {
-  return qsp_matrix(phases, x).a.imag();
+  return response(z_phases(phases), x);
 }
 
 std::vector<double> response_cheb_coeffs(const std::vector<double>& phases, int degree) {
   const int n = degree + 1;
-  std::vector<double> g(n);
-  const std::int64_t nn = n;
-#pragma omp parallel for if (nn >= 64)
-  for (std::int64_t j = 0; j < nn; ++j) {
-    g[static_cast<std::size_t>(j)] = qsp_response(phases, std::cos(M_PI * (j + 0.5) / n));
-  }
+  const auto g = node_values(z_phases(phases), n);
   std::vector<double> coeffs(n);
-#pragma omp parallel for if (nn >= 256)
-  for (std::int64_t k = 0; k < nn; ++k) {
-    double s = 0.0;
-    for (int j = 0; j < n; ++j) s += g[j] * std::cos(M_PI * k * (j + 0.5) / n);
-    coeffs[static_cast<std::size_t>(k)] = (k == 0 ? 1.0 : 2.0) * s / n;
-  }
+  for (int k = 0; k < n; ++k) coeffs[k] = cheb_coeff(g, k);
   return coeffs;
 }
 
@@ -121,8 +135,9 @@ double node_residual(const ReducedProblem& p, const std::vector<double>& phi,
                      std::vector<double>* out_gap = nullptr) {
   double worst = 0.0;
   if (out_gap != nullptr) out_gap->resize(static_cast<std::size_t>(p.m));
+  const auto z = z_phases(phi);
   for (int k = 0; k < p.m; ++k) {
-    const double g = qsp_response(phi, p.nodes[static_cast<std::size_t>(k)]);
+    const double g = response(z, p.nodes[static_cast<std::size_t>(k)]);
     const double gap = p.f_nodes[static_cast<std::size_t>(k)] - g;
     if (out_gap != nullptr) (*out_gap)[static_cast<std::size_t>(k)] = gap;
     worst = std::fmax(worst, std::fabs(gap));
@@ -134,18 +149,19 @@ double node_residual(const ReducedProblem& p, const std::vector<double>& phi,
 // dU/dphi_j = A_j (iZ) B_j with A_j the product up to and including
 // e^{i phi_j Z} and B_j the remainder. d Im(U00)/d phi_j = Re[(A_j Z B_j)00]
 // ... note (iZ) contributes i * (A Z B)00 and Im(i w) = Re(w).
-void response_gradient(const std::vector<double>& phi, double x, std::vector<double>& grad) {
-  const std::size_t n = phi.size();
+// `z` is z_phases(phi).
+void response_gradient(const std::vector<M2>& z, double x, std::vector<double>& grad) {
+  const std::size_t n = z.size();
   grad.resize(n);
   const M2 w = w_matrix(x);
   // prefix[j] = e^{i phi_0 Z} W e^{i phi_1 Z} ... W e^{i phi_j Z}
   std::vector<M2> prefix(n);
-  prefix[0] = z_phase(phi[0]);
-  for (std::size_t j = 1; j < n; ++j) prefix[j] = mul(prefix[j - 1], mul(w, z_phase(phi[j])));
+  prefix[0] = z[0];
+  for (std::size_t j = 1; j < n; ++j) prefix[j] = mul(prefix[j - 1], mul(w, z[j]));
   // suffix[j] = W e^{i phi_{j+1} Z} ... W e^{i phi_d Z}; suffix[d] = I.
   std::vector<M2> suffix(n);
   suffix[n - 1] = {1, 0, 0, 1};
-  for (std::size_t j = n - 1; j-- > 0;) suffix[j] = mul(mul(w, z_phase(phi[j + 1])), suffix[j]);
+  for (std::size_t j = n - 1; j-- > 0;) suffix[j] = mul(mul(w, z[j + 1]), suffix[j]);
   for (std::size_t j = 0; j < n; ++j) {
     const M2& a = prefix[j];
     const M2& b = suffix[j];
@@ -176,11 +192,12 @@ SymQspResult solve_symmetric_qsp(const poly::ChebSeries& target, const SymQspOpt
 
   int stall = 0;
   for (int it = 0; it < opts.max_fpi_iterations; ++it) {
-    const auto phi = full_phases(p, psi);
-    const auto coeffs = response_cheb_coeffs(phi, p.d);
+    // Only the orders of the target's parity enter the update, so only
+    // those coefficients are computed.
+    const auto g = node_values(z_phases(full_phases(p, psi)), p.d + 1);
     double delta = 0.0;
     for (int k = 0; k < p.m; ++k) {
-      const double fk = coeffs[static_cast<std::size_t>(p.d - 2 * k)];
+      const double fk = cheb_coeff(g, p.d - 2 * k);
       const double gap = p.c[static_cast<std::size_t>(k)] - fk;
       psi[static_cast<std::size_t>(k)] += gap / p.weight[static_cast<std::size_t>(k)];
       delta = std::fmax(delta, std::fabs(gap));
@@ -220,8 +237,9 @@ SymQspResult solve_symmetric_qsp(const poly::ChebSeries& target, const SymQspOpt
       if (r < opts.tolerance) break;
       // J_{k,l} = d g(x_k) / d psi_l = d/d phi_l + d/d phi_{d-l}.
       linalg::Matrix<double> J(static_cast<std::size_t>(p.m), static_cast<std::size_t>(p.m));
+      const auto z = z_phases(phi);
       for (int k = 0; k < p.m; ++k) {
-        response_gradient(phi, p.nodes[static_cast<std::size_t>(k)], grad);
+        response_gradient(z, p.nodes[static_cast<std::size_t>(k)], grad);
         for (int l = 0; l < p.m; ++l) {
           double v = grad[static_cast<std::size_t>(l)];
           if (l != p.d - l) v += grad[static_cast<std::size_t>(p.d - l)];
@@ -248,15 +266,15 @@ SymQspResult solve_symmetric_qsp(const poly::ChebSeries& target, const SymQspOpt
   if (best_residual >= std::fmax(opts.tolerance, opts.lbfgs_threshold) &&
       opts.enable_lbfgs) {
     auto objective = [&p](const std::vector<double>& psi_v, std::vector<double>& g_out) {
-      const auto phi = full_phases(p, psi_v);
+      const auto z = z_phases(full_phases(p, psi_v));
       g_out.assign(psi_v.size(), 0.0);
       double val = 0.0;
       std::vector<double> grad;
       for (int k = 0; k < p.m; ++k) {
         const double x = p.nodes[static_cast<std::size_t>(k)];
-        const double gap = qsp_response(phi, x) - p.f_nodes[static_cast<std::size_t>(k)];
+        const double gap = response(z, x) - p.f_nodes[static_cast<std::size_t>(k)];
         val += 0.5 * gap * gap;
-        response_gradient(phi, x, grad);
+        response_gradient(z, x, grad);
         for (int l = 0; l < p.m; ++l) {
           double v = grad[static_cast<std::size_t>(l)];
           if (l != p.d - l) v += grad[static_cast<std::size_t>(p.d - l)];

@@ -4,7 +4,6 @@
 
 #include "blockenc/arith/adders.hpp"
 #include "blockenc/dense_embedding.hpp"
-#include "blockenc/fable.hpp"
 #include "blockenc/lcu.hpp"
 #include "blockenc/tridiagonal.hpp"
 #include "common/rng.hpp"
@@ -154,32 +153,6 @@ TEST(LcuPauli, NegativeAndImaginaryCoefficients) {
   const auto be2 = lcu_block_encoding(terms2, 1);
   Matrix<double> expected2{{0, 0.5}, {-0.5, 0}};
   EXPECT_LT(block_error(be2, expected2), 1e-12);
-}
-
-TEST(Fable, ExactEncodingAtZeroThreshold) {
-  Xoshiro256 rng(6);
-  Matrix<double> A(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) A(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  const auto enc = fable_block_encoding(A);
-  EXPECT_DOUBLE_EQ(enc.be.alpha, 4.0);
-  EXPECT_LT(block_error(enc.be, A), 1e-10);
-  expect_unitary(enc.be);
-  EXPECT_EQ(enc.rotations_kept, enc.rotations_total);
-}
-
-TEST(Fable, ThresholdPrunesAndBoundsError) {
-  Xoshiro256 rng(7);
-  Matrix<double> A(8, 8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 8; ++j) A(i, j) = (i == j) ? 0.9 : rng.uniform(-0.02, 0.02);
-  }
-  const auto exact = fable_block_encoding(A, 0.0);
-  const auto pruned = fable_block_encoding(A, 0.05);
-  EXPECT_LT(pruned.rotations_kept, exact.rotations_kept / 2);
-  // Error stays modest: threshold * N is the crude FABLE bound.
-  EXPECT_LT(block_error(pruned.be, A), 0.05 * 8);
 }
 
 TEST(Adders, IncrementPermutesBasisStates) {

@@ -158,8 +158,8 @@ TEST(Exec, ControlledGlobalPhaseLowering) {
 }
 
 TEST(Exec, PostCompileMeasurementMatchesInterpreter) {
-  // End-to-end: compiled execution followed by the (OpenMP-reduced)
-  // measurement queries agrees with the interpreter path.
+  // End-to-end: compiled execution followed by the measurement queries
+  // agrees with the interpreter path.
   Xoshiro256 rng(48);
   const auto c = random_circuit(rng, 5, 30);
   qsim::Statevector<double> a(5), b(5);

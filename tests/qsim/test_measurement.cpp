@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -56,6 +59,33 @@ TEST(Measurement, ProbabilityAllZeroMatchesManual) {
   sv.apply(c);
   EXPECT_NEAR(sv.probability_all_zero({0, 1, 2}), 1.0 / 8.0, 1e-14);
   EXPECT_NEAR(sv.probability_all_zero({1}), 0.5, 1e-14);
+}
+
+TEST(Measurement, LargeRegisterReductionsSumInAmplitudeOrder) {
+  // 2^16 amplitudes: large enough that a parallel reduction would split
+  // the sum. The reductions must equal a plain left-to-right sum bit for
+  // bit, so a result never depends on the process's thread count.
+  constexpr std::uint32_t kQubits = 16;
+  Xoshiro256 rng(2024);
+  std::vector<std::complex<double>> amps(std::size_t{1} << kQubits);
+  for (auto& a : amps) a = {rng.normal(), rng.normal()};
+  auto sv = Statevector<double>::from_amplitudes(kQubits, amps);
+  sv.normalize();
+
+  const std::uint32_t q = 7;
+  const std::vector<std::uint32_t> zeros = {2, 11, 15};
+  std::uint64_t zero_mask = 0;
+  for (auto z : zeros) zero_mask |= std::uint64_t{1} << z;
+  double total = 0.0, q_one = 0.0, all_zero = 0.0;
+  for (std::uint64_t i = 0; i < sv.dim(); ++i) {
+    const double p = std::norm(sv[i]);
+    total += p;
+    if ((i >> q) & 1) q_one += p;
+    if ((i & zero_mask) == 0) all_zero += p;
+  }
+  EXPECT_EQ(sv.norm(), std::sqrt(total));
+  EXPECT_EQ(sv.probability(q, 1), q_one);
+  EXPECT_EQ(sv.probability_all_zero(zeros), all_zero);
 }
 
 TEST(Measurement, SamplingMatchesDistribution) {

@@ -3,9 +3,9 @@
 // panels match width 1 within kernel rounding; noisy and matrix-function
 // jobs solve per RHS; concurrent scheduling does not perturb results
 // under a fixed seed; the cache spans jobs; async submit works.
-// (Bitwise holds at a fixed OpenMP thread count: registers of >= 2^15
-// amplitudes reduce norms/probabilities in parallel, and the summation
-// order follows the thread count — see qsim/statevector.hpp.)
+// (Bitwise holds at any thread count: every replay and reduction runs
+// serially on its solve-pool thread, summing in amplitude order — see
+// qsim/statevector.hpp.)
 #include "service/solver_service.hpp"
 
 #include <gtest/gtest.h>
