@@ -75,7 +75,7 @@ std::vector<std::string_view> split_lines(std::string_view head) {
 /// tolerated bare LFLF wins — preferring one unconditionally would let a
 /// later sequence inside the body bytes of the same read misframe an
 /// LF-terminated head. Returns true when the head is complete; *overflow
-/// reports a head larger than `max_head_bytes`.
+/// reports a head longer than `max_head_bytes` before its blank line.
 bool accumulate_head(std::string& head, std::string_view rest, std::size_t max_head_bytes,
                      std::size_t* used, bool* overflow) {
   *overflow = false;
@@ -97,7 +97,10 @@ bool accumulate_head(std::string& head, std::string_view rest, std::size_t max_h
     term_len = 2;
   }
   if (terminator == std::string::npos) {
-    if (head.size() > max_head_bytes) *overflow = true;
+    // Up to 3 trailing bytes may be a terminator the next read completes
+    // ("\r\n\r"), so only a longer head is certainly over the cap; how
+    // the bytes were split must not change the verdict.
+    if (head.size() > max_head_bytes + 3) *overflow = true;
     return false;
   }
   const std::size_t head_end = terminator + term_len;

@@ -3,14 +3,14 @@
 // sorting, single-qubit peephole fusion, <= k-qubit window fusion);
 // `specialize<T>` rounds the fused matrices to the execution precision once
 // and precomputes the kernel index tables. `compile<T>` is the one-call
-// front door and stamps the compile time into the program stats.
+// front door and stamps the compile time into the program stats. The
+// cached, lazily specialized programs of one context live in
+// `ProgramSet` (program_set.hpp).
 #pragma once
 
-#include <atomic>
+#include <complex>
 #include <cstdint>
-#include <mutex>
-#include <type_traits>
-#include <utility>
+#include <span>
 
 #include "common/timer.hpp"
 #include "qsim/circuit.hpp"
@@ -31,79 +31,91 @@ struct CompileOptions {
 /// and fuse neighbours. Deterministic; no precision loss (all double).
 FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {});
 
-/// Pass 3: round payloads to the *storage* precision T (then hold them in
-/// the compute precision — identity for float/double, binary16-round-then-
-/// widen-to-float for the f16 tier) and precompute per-op tables.
+/// Pass 3 for one op: round its payload to the *storage* precision T (then
+/// hold it in the compute precision — identity for float/double,
+/// binary16-round-then-widen-to-float for the f16 tier) and precompute its
+/// kernel tables. Takes the op's parts rather than a `FusedOp` so the dist
+/// planner can pass a rank's projection of a plan op without copying its
+/// payload.
 template <typename T>
-Program<T> specialize(const FusedIr& ir) {
+CompiledOp<T> specialize_op(OpKind kind, std::span<const std::uint32_t> targets,
+                            std::uint64_t pos_mask, std::uint64_t neg_mask,
+                            std::span<const std::complex<double>> payload) {
   using C = exec_compute_t<T>;
   // Model the QPU storing this value at precision T.
   const auto qround = [](double v) { return static_cast<C>(static_cast<T>(v)); };
+  CompiledOp<T> c;
+  c.kind = kind;
+  c.pos_mask = pos_mask;
+  c.neg_mask = neg_mask;
+  c.set_mask = pos_mask;
+  // Bits the kernel loop must skip: control bits always; target bits for
+  // the pairwise/blockwise kinds (a diagonal visits targets in place).
+  std::uint64_t skip = pos_mask | neg_mask;
+  if (kind == OpKind::kApply1q || kind == OpKind::kDense) {
+    for (auto q : targets) skip |= std::uint64_t{1} << q;
+  }
+  for (std::uint32_t q = 0; q < 64 && (skip >> q) != 0; ++q) {
+    if (skip & (std::uint64_t{1} << q)) c.insert_bits.push_back(std::uint64_t{1} << q);
+  }
+  c.free_shift = static_cast<std::uint32_t>(c.insert_bits.size());
+  switch (kind) {
+    case OpKind::kApply1q:
+      c.target_bit = std::uint64_t{1} << targets[0];
+      c.m00 = std::complex<C>(qround(payload[0].real()), qround(payload[0].imag()));
+      c.m01 = std::complex<C>(qround(payload[1].real()), qround(payload[1].imag()));
+      c.m10 = std::complex<C>(qround(payload[2].real()), qround(payload[2].imag()));
+      c.m11 = std::complex<C>(qround(payload[3].real()), qround(payload[3].imag()));
+      break;
+    case OpKind::kGlobalPhase:
+      c.phase = std::complex<C>(qround(payload[0].real()), qround(payload[0].imag()));
+      break;
+    case OpKind::kDense:
+    case OpKind::kDiagonal: {
+      c.num_targets = static_cast<std::uint32_t>(targets.size());
+      for (auto q : targets) {
+        const std::uint64_t bit = std::uint64_t{1} << q;
+        c.target_bits.push_back(bit);
+        c.target_mask |= bit;
+      }
+      c.payload.reserve(payload.size());
+      for (const auto& v : payload) {
+        c.payload.emplace_back(qround(v.real()), qround(v.imag()));
+      }
+      if (kind == OpKind::kDense) {
+        // Gather offsets: sub-state s lives at base | offsets[s].
+        const std::size_t sub_dim = std::size_t{1} << c.num_targets;
+        c.offsets.resize(sub_dim);
+        for (std::size_t s = 0; s < sub_dim; ++s) {
+          std::uint64_t off = 0;
+          for (std::uint32_t t = 0; t < c.num_targets; ++t) {
+            if (s & (std::size_t{1} << t)) off |= c.target_bits[t];
+          }
+          c.offsets[s] = off;
+        }
+        c.payload_re.reserve(c.payload.size());
+        c.payload_im.reserve(c.payload.size());
+        for (const auto& v : c.payload) {
+          c.payload_re.push_back(v.real());
+          c.payload_im.push_back(v.imag());
+        }
+      }
+      break;
+    }
+  }
+  return c;
+}
+
+/// Pass 3: `specialize_op` over every op of `ir`.
+template <typename T>
+Program<T> specialize(const FusedIr& ir) {
   Program<T> program;
   program.num_qubits = ir.num_qubits;
   program.stats = ir.stats;
   program.ops.reserve(ir.ops.size());
   for (const auto& op : ir.ops) {
-    CompiledOp<T> c;
-    c.kind = op.kind;
-    c.pos_mask = op.pos_mask;
-    c.neg_mask = op.neg_mask;
-    c.set_mask = op.pos_mask;
-    // Bits the kernel loop must skip: control bits always; target bits for
-    // the pairwise/blockwise kinds (a diagonal visits targets in place).
-    std::uint64_t skip = op.pos_mask | op.neg_mask;
-    if (op.kind == OpKind::kApply1q || op.kind == OpKind::kDense) {
-      for (auto q : op.targets) skip |= std::uint64_t{1} << q;
-    }
-    for (std::uint32_t q = 0; q < 64 && (skip >> q) != 0; ++q) {
-      if (skip & (std::uint64_t{1} << q)) c.insert_bits.push_back(std::uint64_t{1} << q);
-    }
-    c.free_shift = static_cast<std::uint32_t>(c.insert_bits.size());
-    switch (op.kind) {
-      case OpKind::kApply1q:
-        c.target_bit = std::uint64_t{1} << op.targets[0];
-        c.m00 = std::complex<C>(qround(op.payload[0].real()), qround(op.payload[0].imag()));
-        c.m01 = std::complex<C>(qround(op.payload[1].real()), qround(op.payload[1].imag()));
-        c.m10 = std::complex<C>(qround(op.payload[2].real()), qround(op.payload[2].imag()));
-        c.m11 = std::complex<C>(qround(op.payload[3].real()), qround(op.payload[3].imag()));
-        break;
-      case OpKind::kGlobalPhase:
-        c.phase = std::complex<C>(qround(op.payload[0].real()), qround(op.payload[0].imag()));
-        break;
-      case OpKind::kDense:
-      case OpKind::kDiagonal: {
-        c.num_targets = static_cast<std::uint32_t>(op.targets.size());
-        for (auto q : op.targets) {
-          const std::uint64_t bit = std::uint64_t{1} << q;
-          c.target_bits.push_back(bit);
-          c.target_mask |= bit;
-        }
-        c.payload.reserve(op.payload.size());
-        for (const auto& v : op.payload) {
-          c.payload.emplace_back(qround(v.real()), qround(v.imag()));
-        }
-        if (op.kind == OpKind::kDense) {
-          // Gather offsets: sub-state s lives at base | offsets[s].
-          const std::size_t sub_dim = std::size_t{1} << c.num_targets;
-          c.offsets.resize(sub_dim);
-          for (std::size_t s = 0; s < sub_dim; ++s) {
-            std::uint64_t off = 0;
-            for (std::uint32_t t = 0; t < c.num_targets; ++t) {
-              if (s & (std::size_t{1} << t)) off |= c.target_bits[t];
-            }
-            c.offsets[s] = off;
-          }
-          c.payload_re.reserve(c.payload.size());
-          c.payload_im.reserve(c.payload.size());
-          for (const auto& v : c.payload) {
-            c.payload_re.push_back(v.real());
-            c.payload_im.push_back(v.imag());
-          }
-        }
-        break;
-      }
-    }
-    program.ops.push_back(std::move(c));
+    program.ops.push_back(
+        specialize_op<T>(op.kind, op.targets, op.pos_mask, op.neg_mask, op.payload));
   }
   return program;
 }
@@ -116,55 +128,5 @@ Program<T> compile(const Circuit& circuit, const CompileOptions& options = {}) {
   program.stats.compile_seconds = timer.seconds();
   return program;
 }
-
-/// All precision specializations of one `FusedIr`. The expensive passes
-/// (lower + fuse) run exactly once, up front; each `Program<T>` is
-/// specialized lazily on first request and cached for the lifetime of the
-/// set, so the adaptive solver can hop between precision tiers without ever
-/// recompiling. Thread-safe: `get<T>()` may race from many solve threads
-/// (std::call_once per tier), which is what lets a shared-const
-/// `QsvtSolverContext` hand out programs on demand.
-class ProgramSet {
- public:
-  explicit ProgramSet(FusedIr ir) : ir_(std::move(ir)) {}
-
-  const FusedIr& ir() const { return ir_; }
-
-  /// Lazily specialize (once) and return the tier-T program.
-  template <typename T>
-  const Program<T>& get() const {
-    if constexpr (std::is_same_v<T, f16>) {
-      return materialize(once_f16_, f16_);
-    } else if constexpr (std::is_same_v<T, float>) {
-      return materialize(once_f32_, f32_);
-    } else {
-      static_assert(std::is_same_v<T, double>, "unsupported program precision");
-      return materialize(once_f64_, f64_);
-    }
-  }
-
-  /// How many tiers have been specialized so far (test seam for the
-  /// no-recompilation contract: repeated get<T>() must not move this).
-  std::uint64_t specializations() const { return specializations_.load(std::memory_order_relaxed); }
-
- private:
-  template <typename T>
-  const Program<T>& materialize(std::once_flag& once, Program<T>& slot) const {
-    std::call_once(once, [&] {
-      Timer timer;
-      slot = specialize<T>(ir_);
-      slot.stats.compile_seconds = ir_.stats.compile_seconds + timer.seconds();
-      specializations_.fetch_add(1, std::memory_order_relaxed);
-    });
-    return slot;
-  }
-
-  FusedIr ir_;
-  mutable std::once_flag once_f16_, once_f32_, once_f64_;
-  mutable Program<f16> f16_;
-  mutable Program<float> f32_;
-  mutable Program<double> f64_;
-  mutable std::atomic<std::uint64_t> specializations_{0};
-};
 
 }  // namespace mpqls::qsim::exec

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <complex>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "qsim/exec/compile.hpp"
 
 namespace mpqls::qsim::exec::dist {
 
@@ -240,42 +243,41 @@ namespace {
 
 /// Evaluate an op's partition-qubit control bits against one rank's
 /// high-bit pattern; returns false when the op never fires on that shard.
-bool high_masks_fire(const FusedOp& op, std::uint64_t rank_pattern, std::uint64_t high_mask) {
-  const std::uint64_t hp = op.pos_mask & high_mask;
-  const std::uint64_t hn = op.neg_mask & high_mask;
+bool high_masks_fire(std::uint64_t pos_mask, std::uint64_t neg_mask, std::uint64_t rank_pattern,
+                     std::uint64_t high_mask) {
+  const std::uint64_t hp = pos_mask & high_mask;
+  const std::uint64_t hn = neg_mask & high_mask;
   return (rank_pattern & hp) == hp && (rank_pattern & hn) == 0;
 }
 
 }  // namespace
 
-RankPlan build_rank_plan(const ExchangePlan& plan, std::uint32_t rank) {
+template <typename T>
+RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
   expects(rank < (1u << plan.world_log2), "dist plan: rank out of range");
   const std::uint32_t m = plan.local_qubits;
   const std::uint64_t low_mask = (std::uint64_t{1} << m) - 1;
   const std::uint64_t high_mask = ((std::uint64_t{1} << plan.num_qubits) - 1) & ~low_mask;
   const std::uint64_t rank_pattern = std::uint64_t{rank} << m;
 
-  RankPlan rp;
+  RankProgram<T> rp;
   rp.num_qubits = plan.num_qubits;
   rp.local_qubits = m;
   rp.world_log2 = plan.world_log2;
   rp.rank = rank;
 
-  RankStepIr step;
+  RankStep<T> step;
   step.local.num_qubits = m;
 
-  auto push_local = [&](FusedOp op) {
-    step.local.ops.push_back(std::move(op));
-    ++step.local.stats.ops;
-  };
-
   for (const auto& p : plan.ops) {
+    const FusedOp& op = p.op;
     if (!p.exchange) {
-      const FusedOp& op = p.op;
-      if (!high_masks_fire(op, rank_pattern, high_mask)) continue;  // shard never fires
-      FusedOp local = op;
-      local.pos_mask &= low_mask;
-      local.neg_mask &= low_mask;
+      if (!high_masks_fire(op.pos_mask, op.neg_mask, rank_pattern, high_mask)) {
+        continue;  // shard never fires
+      }
+      std::span<const std::uint32_t> targets = op.targets;
+      std::span<const c64> payload = op.payload;
+      std::vector<c64> sliced;
       if (op.kind == OpKind::kDiagonal) {
         // Slice the payload down to the entries this rank's partition
         // bits select. Targets are ascending, so the low targets are a
@@ -290,46 +292,45 @@ RankPlan build_rank_plan(const ExchangePlan& plan, std::uint32_t rank) {
             const std::uint32_t q = op.targets[n_low + j];
             if ((rank >> (q - m)) & 1u) fixed |= std::uint64_t{1} << j;
           }
-          std::vector<c64> sliced(std::size_t{1} << n_low);
+          sliced.resize(std::size_t{1} << n_low);
           for (std::size_t s = 0; s < sliced.size(); ++s) {
             sliced[s] = op.payload[s | (fixed << n_low)];
           }
-          local.targets.assign(op.targets.begin(), op.targets.begin() + n_low);
-          local.payload = std::move(sliced);
+          targets = targets.first(n_low);
           if (n_low == 0) {
             // Every owned amplitude gets the same multiplier. Stay in the
             // diagonal kernel (dummy low target, identical entries) rather
             // than switching to the global-phase kernel: the multiply must
             // go through the same kernel expression as single-node replay
             // or FMA contraction can differ in the last ulp.
-            const c64 v = local.payload[0];
-            local.targets = {0};
-            local.payload = {v, v};
+            static constexpr std::uint32_t kQubit0[] = {0};
+            targets = kQubit0;
+            sliced.push_back(sliced[0]);
           }
+          payload = sliced;
         }
       }
-      push_local(std::move(local));
+      step.local.ops.push_back(specialize_op<T>(op.kind, targets, op.pos_mask & low_mask,
+                                                op.neg_mask & low_mask, payload));
+      ++step.local.stats.ops;
       continue;
     }
 
-    // Exchange step: close the local run, emit the wide single-op ir.
-    RankExchangeIr ex;
-    ex.high_targets = p.high_targets;
+    // Exchange step: close the local run with the single wide op.
     const std::uint32_t h = static_cast<std::uint32_t>(p.high_targets.size());
-    for (auto q : p.high_targets) ex.peer_bits.push_back(q - m);
+    step.has_exchange = true;
+    for (auto q : p.high_targets) step.peer_bits.push_back(q - m);
     // Non-target partition-qubit controls: shared across the 2^h partner
     // group (the group only varies the target bits), so one verdict
     // serves every member.
     std::uint64_t target_high = 0;
     for (auto q : p.high_targets) target_high |= bit_of(q);
-    FusedOp masked = p.op;
-    masked.pos_mask &= ~target_high;  // targets are never mask bits; belt and braces
-    masked.neg_mask &= ~target_high;
-    ex.fires = high_masks_fire(masked, rank_pattern, high_mask);
-    FusedOp wide = std::move(masked);
-    wide.pos_mask &= low_mask;
-    wide.neg_mask &= low_mask;
-    for (auto& q : wide.targets) {
+    // Targets are never mask bits; belt and braces.
+    const std::uint64_t pos_mask = op.pos_mask & ~target_high;
+    const std::uint64_t neg_mask = op.neg_mask & ~target_high;
+    step.fires = high_masks_fire(pos_mask, neg_mask, rank_pattern, high_mask);
+    std::vector<std::uint32_t> wide_targets = op.targets;
+    for (auto& q : wide_targets) {
       if (q >= m) {
         // The j-th high target lands on wide qubit m+j; ascending order
         // (and with it the payload's index convention) is preserved.
@@ -337,16 +338,20 @@ RankPlan build_rank_plan(const ExchangePlan& plan, std::uint32_t rank) {
         q = m + static_cast<std::uint32_t>(it - p.high_targets.begin());
       }
     }
-    ex.wide.num_qubits = m + h;
-    ex.wide.stats.ops = 1;
-    ex.wide.ops.push_back(std::move(wide));
-    step.exchange = std::move(ex);
+    step.wide.num_qubits = m + h;
+    step.wide.stats.ops = 1;
+    step.wide.ops.push_back(specialize_op<T>(op.kind, wide_targets, pos_mask & low_mask,
+                                             neg_mask & low_mask, op.payload));
     rp.steps.push_back(std::move(step));
-    step = RankStepIr{};
+    step = RankStep<T>{};
     step.local.num_qubits = m;
   }
   rp.steps.push_back(std::move(step));
   return rp;
 }
+
+template RankProgram<f16> specialize_rank<f16>(const ExchangePlan&, std::uint32_t);
+template RankProgram<float> specialize_rank<float>(const ExchangePlan&, std::uint32_t);
+template RankProgram<double> specialize_rank<double>(const ExchangePlan&, std::uint32_t);
 
 }  // namespace mpqls::qsim::exec::dist

@@ -54,12 +54,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "qsim/exec/compile.hpp"
 #include "qsim/exec/program.hpp"
 
 namespace mpqls::qsim::exec::dist {
@@ -109,44 +107,19 @@ struct ExchangePlan {
 ExchangePlan build_exchange_plan(const FusedIr& ir, std::uint32_t world_log2,
                                  const PlanOptions& options = {});
 
-/// The plan lowered to one rank, precision-agnostic: runs of local ops
-/// (FusedIr over the m local qubits) separated by exchange descriptors
-/// whose single op lives on the widened m+h register.
-struct RankExchangeIr {
-  /// False when the op's non-target partition-qubit controls fail for
-  /// this rank's shard group — every rank of the 2^h partner group agrees
-  /// (they share those bits), so the whole step is skipped: no traffic.
-  bool fires = true;
-  std::vector<std::uint32_t> high_targets;  ///< global qubit indices, ascending
-  std::vector<std::uint32_t> peer_bits;     ///< rank-bit index per high target
-  FusedIr wide;                             ///< single op over m+h qubits
-};
-
-struct RankStepIr {
-  FusedIr local;  ///< over the m local qubits (possibly empty)
-  std::optional<RankExchangeIr> exchange;
-};
-
-struct RankPlan {
-  std::uint32_t num_qubits = 0;
-  std::uint32_t local_qubits = 0;
-  std::uint32_t world_log2 = 0;
-  std::uint32_t rank = 0;
-  std::vector<RankStepIr> steps;
-};
-
-RankPlan build_rank_plan(const ExchangePlan& plan, std::uint32_t rank);
-
-/// RankPlan specialized to a statevector precision (exec::specialize, the
-/// same pass single-node programs go through — op payloads round
-/// identically).
+/// One step of a rank's program: a run of local ops over the m local
+/// qubits, then at most one exchange op on the widened m+h register.
 template <typename T>
 struct RankStep {
   Program<T> local;
   bool has_exchange = false;
+  /// False when the exchange op's non-target partition-qubit controls fail
+  /// for this rank's shard group — every rank of the 2^h partner group
+  /// agrees (they share those bits), so the whole step is skipped: no
+  /// traffic.
   bool fires = true;
-  std::vector<std::uint32_t> peer_bits;
-  Program<T> wide;
+  std::vector<std::uint32_t> peer_bits;  ///< rank-bit index per partition target
+  Program<T> wide;                       ///< the single exchange op
 };
 
 template <typename T>
@@ -158,27 +131,18 @@ struct RankProgram {
   std::vector<RankStep<T>> steps;
 };
 
+/// The plan as rank `rank` runs it, specialized to a statevector
+/// precision. Each plan op is projected onto the rank (local ops whose
+/// partition-qubit controls fail there drop out, diagonal payloads keep
+/// the entries the rank's partition bits select, exchange targets move to
+/// the wide qubits m..m+h-1) and goes straight through `specialize_op`,
+/// the pass single-node programs use, so op payloads round identically.
+/// Instantiated for f16, float and double.
 template <typename T>
-RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
-  const RankPlan rp = build_rank_plan(plan, rank);
-  RankProgram<T> out;
-  out.num_qubits = rp.num_qubits;
-  out.local_qubits = rp.local_qubits;
-  out.world_log2 = rp.world_log2;
-  out.rank = rp.rank;
-  out.steps.reserve(rp.steps.size());
-  for (const auto& step : rp.steps) {
-    RankStep<T> s;
-    s.local = specialize<T>(step.local);
-    if (step.exchange) {
-      s.has_exchange = true;
-      s.fires = step.exchange->fires;
-      s.peer_bits = step.exchange->peer_bits;
-      s.wide = specialize<T>(step.exchange->wide);
-    }
-    out.steps.push_back(std::move(s));
-  }
-  return out;
-}
+RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank);
+
+extern template RankProgram<f16> specialize_rank<f16>(const ExchangePlan&, std::uint32_t);
+extern template RankProgram<float> specialize_rank<float>(const ExchangePlan&, std::uint32_t);
+extern template RankProgram<double> specialize_rank<double>(const ExchangePlan&, std::uint32_t);
 
 }  // namespace mpqls::qsim::exec::dist

@@ -19,45 +19,14 @@ DistSolveSession::DistSolveSession(DistConfig config) : config_(std::move(config
 
 DistSolveSession::~DistSolveSession() = default;
 
-void DistSolveSession::bind(const QsvtSolverContext& ctx) {
-  if (bound_ != nullptr) {
-    expects(bound_ == &ctx, "dist solve: session bound to a different context");
-    return;
-  }
-  expects(ctx.options.backend == Backend::kGateLevel, "dist solve: gate-level contexts only");
-  expects(ctx.programs != nullptr, "dist solve: context has no compiled program");
-  expects(ctx.options.noise.depolarizing_per_gate == 0.0 &&
-              ctx.options.noise.damping_per_gate == 0.0,
-          "dist solve: noise trajectories are single-node only");
-  plan_ = edist::build_exchange_plan(ctx.programs->ir(), config_.world_log2);
-  // Ranks may differ in body cap; all size their panels for the smallest.
-  body_cap_ = edist::group_body_cap(*config_.channel, config_.rank, config_.world_log2, seq_);
-  bound_ = &ctx;
-}
-
-template <typename T>
-const edist::RankProgram<T>& DistSolveSession::rank_program() {
-  auto& slot = [this]() -> std::optional<edist::RankProgram<T>>& {
-    if constexpr (std::is_same_v<T, qsim::exec::f16>) {
-      return prog_half_;
-    } else if constexpr (std::is_same_v<T, float>) {
-      return prog_single_;
-    } else {
-      return prog_double_;
-    }
-  }();
-  if (!slot) slot = edist::specialize_rank<T>(*plan_, config_.rank);
-  return *slot;
-}
-
 template <typename T>
 void DistSolveSession::sweep(const QsvtSolverContext& ctx,
+                             const qsim::exec::dist::RankProgram<T>& program,
                              std::span<const linalg::Vector<double>* const> rhs,
                              std::vector<QsvtSolveOutcome>& out) {
   const QsvtCircuit& qc = *ctx.circuit;
   const std::size_t N = ctx.A.rows();
   const std::size_t B = rhs.size();
-  const auto& program = rank_program<T>();
   const std::uint32_t m = program.local_qubits;
   const std::uint32_t rank = config_.rank;
 
@@ -132,18 +101,20 @@ void DistSolveSession::sweep(const QsvtSolverContext& ctx,
   stats_.bytes_moved += metrics.bytes_moved;
   stats_.exchange_seconds += metrics.exchange_seconds;
   stats_.local_seconds += metrics.local_seconds;
-  stats_.plan_naive_rounds += plan_->stats.naive_rounds;
-  stats_.plan_scheduled_rounds += plan_->stats.scheduled_rounds;
+  const auto& plan_stats = ctx.programs->plan(config_.world_log2).stats;
+  stats_.plan_naive_rounds += plan_stats.naive_rounds;
+  stats_.plan_scheduled_rounds += plan_stats.scheduled_rounds;
 }
 
 template <typename T>
 void DistSolveSession::solve_tier(const QsvtSolverContext& ctx,
                                   const std::vector<const linalg::Vector<double>*>& rhs,
                                   std::vector<QsvtSolveOutcome>& out, PanelExecStats* stats) {
-  const std::size_t lanes = edist::shard_panel_lanes(rank_program<T>(), rhs.size(), body_cap_);
+  const auto& program = ctx.programs->rank_program<T>(config_.world_log2, config_.rank);
+  const std::size_t lanes = edist::shard_panel_lanes(program, rhs.size(), *body_cap_);
   for (std::size_t begin = 0; begin < rhs.size(); begin += lanes) {
     const std::size_t count = std::min(lanes, rhs.size() - begin);
-    sweep<T>(ctx, std::span(rhs).subspan(begin, count), out);
+    sweep<T>(ctx, program, std::span(rhs).subspan(begin, count), out);
     if (stats) {
       stats->panels += 1;
       stats->lanes += count;
@@ -156,7 +127,15 @@ std::vector<QsvtSolveOutcome> DistSolveSession::solve_directions(
     QpuPrecision tier, PanelExecStats* stats) {
   expects(!rhs.empty(), "dist solve: at least one right-hand side");
   expects(tier != QpuPrecision::kAdaptive, "dist solve: tier must be a concrete precision");
-  bind(ctx);
+  expects(ctx.options.backend == Backend::kGateLevel, "dist solve: gate-level contexts only");
+  expects(ctx.programs != nullptr, "dist solve: context has no compiled program");
+  expects(ctx.options.noise.depolarizing_per_gate == 0.0 &&
+              ctx.options.noise.damping_per_gate == 0.0,
+          "dist solve: noise trajectories are single-node only");
+  if (!body_cap_) {
+    // Ranks may differ in body cap; all size their panels for the smallest.
+    body_cap_ = edist::group_body_cap(*config_.channel, config_.rank, config_.world_log2, seq_);
+  }
   std::vector<QsvtSolveOutcome> out;
   out.reserve(rhs.size());
   switch (tier) {

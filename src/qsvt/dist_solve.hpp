@@ -20,12 +20,14 @@
 // replay side). Sweeps hold shard_panel_lanes lanes, sized for the
 // group's smallest request-body cap (agreed on first use).
 //
-// A session serves ONE job: it binds to the job's solver context on first
-// use, compiles the exchange plan once, specializes per-tier rank
-// programs lazily, and threads a single strictly-increasing exchange
-// sequence counter through every replay and allreduce. Calls must arrive
-// in the same order on every rank (the refinement loop guarantees this);
-// the session itself is not thread-safe.
+// A session serves ONE job and holds only its transport state: the rank,
+// the world size, the peer channel, the group's body cap (agreed on first
+// use) and a single strictly-increasing exchange sequence counter threaded
+// through every replay and allreduce. The exchange plan and the per-tier
+// rank programs come from the context's ProgramSet, which builds each once
+// and keeps it for the context's lifetime, so a dist job on a warm context
+// compiles nothing. Calls must arrive in the same order on every rank (the
+// refinement loop guarantees this); the session itself is not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,6 @@
 #include <vector>
 
 #include "qsim/exec/dist/dist_executor.hpp"
-#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsvt/solve.hpp"
 
@@ -69,8 +70,7 @@ class DistSolveSession {
   /// Drop-in for qsvt_solve_directions on the gate-level panel path: solve
   /// every right-hand side at the given concrete tier in shard-panel
   /// sweeps of shard_panel_lanes lanes (lockstep across ranks), counting
-  /// them in `stats` like local sweeps. Binds to `ctx` on first call;
-  /// later calls must pass the same context.
+  /// them in `stats` like local sweeps.
   std::vector<QsvtSolveOutcome> solve_directions(
       const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
       QpuPrecision tier, PanelExecStats* stats = nullptr);
@@ -79,23 +79,16 @@ class DistSolveSession {
 
  private:
   template <typename T>
-  void sweep(const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>* const> rhs,
+  void sweep(const QsvtSolverContext& ctx, const qsim::exec::dist::RankProgram<T>& program,
+             std::span<const linalg::Vector<double>* const> rhs,
              std::vector<QsvtSolveOutcome>& out);
   template <typename T>
   void solve_tier(const QsvtSolverContext& ctx,
                   const std::vector<const linalg::Vector<double>*>& rhs,
                   std::vector<QsvtSolveOutcome>& out, PanelExecStats* stats);
-  void bind(const QsvtSolverContext& ctx);
-  template <typename T>
-  const qsim::exec::dist::RankProgram<T>& rank_program();
 
   DistConfig config_;
-  const QsvtSolverContext* bound_ = nullptr;
-  std::optional<qsim::exec::dist::ExchangePlan> plan_;
-  std::optional<qsim::exec::dist::RankProgram<qsim::exec::f16>> prog_half_;
-  std::optional<qsim::exec::dist::RankProgram<float>> prog_single_;
-  std::optional<qsim::exec::dist::RankProgram<double>> prog_double_;
-  std::size_t body_cap_ = 0;  ///< smallest request-body cap in the group
+  std::optional<std::size_t> body_cap_;  ///< smallest request-body cap in the group
   std::uint64_t seq_ = 0;
   DistSolveStats stats_;
 };

@@ -28,9 +28,9 @@
 #include "linalg/jacobi_svd.hpp"
 #include "linalg/matrix.hpp"
 #include "poly/inverse_poly.hpp"
-#include "qsim/exec/compile.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/exec/program.hpp"
+#include "qsim/exec/program_set.hpp"
 #include "qsim/noise.hpp"
 #include "qsp/symmetric_qsp.hpp"
 #include "qsvt/qsvt_circuit.hpp"
@@ -99,12 +99,13 @@ struct QsvtSolverContext {
   qsp::SymQspResult phases;         ///< symmetric QSP phases (gate backend)
   std::optional<QsvtCircuit> circuit;  ///< built for the gate backend
   /// The QSVT circuit lowered once (lower + fuse) to a precision-agnostic
-  /// FusedIr; every precision tier's Program<T> is specialized lazily from
-  /// it on first use and cached — one IR, no recompilation when the
-  /// adaptive loop hops tiers. ProgramSet is internally synchronized, so a
-  /// shared-const context still hands out programs from many threads.
-  /// Clean solves never re-interpret the gate list; only noise
-  /// trajectories do.
+  /// FusedIr; every program derived from it — each precision tier's
+  /// Program<T>, and each shard-group world size's exchange plan and rank
+  /// programs — is built lazily on first use and cached here, so neither
+  /// tier hops nor repeated dist jobs recompile. ProgramSet is internally
+  /// synchronized, so a shared-const context still hands out programs from
+  /// many threads. Clean solves never re-interpret the gate list; only
+  /// noise trajectories do.
   std::shared_ptr<qsim::exec::ProgramSet> programs;
   /// The replay probe's call shape (`ctx.exec_backend->apply_program_panel(
   /// *ctx.backend_handle, ...)`); see PanelReplayForwarder.

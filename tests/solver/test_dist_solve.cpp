@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -35,34 +36,49 @@ QsvtIrOptions base_options() {
   return o;
 }
 
+/// Run the batch on `groups` shard groups of W ranks at once, each over its
+/// own LocalPeerGroup, one thread per rank; returns every rank's reports
+/// (outer index = group, then rank).
+std::vector<std::vector<std::vector<QsvtIrReport>>> solve_groups(
+    const qsvt::QsvtSolverContext& ctx, const std::vector<linalg::Vector<double>>& bs,
+    const QsvtIrOptions& options, std::uint32_t world_log2, std::size_t groups) {
+  const std::uint32_t world = 1u << world_log2;
+  std::vector<std::unique_ptr<qsim::exec::dist::LocalPeerGroup>> peers;
+  for (std::size_t g = 0; g < groups; ++g) {
+    peers.push_back(std::make_unique<qsim::exec::dist::LocalPeerGroup>(world));
+  }
+  std::vector<std::vector<std::vector<QsvtIrReport>>> reports(
+      groups, std::vector<std::vector<QsvtIrReport>>(world));
+  std::vector<std::exception_ptr> errors(groups * world);
+  std::vector<std::thread> threads;
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::uint32_t r = 0; r < world; ++r) {
+      threads.emplace_back([&, g, r] {
+        try {
+          QsvtIrOptions opts = options;
+          opts.dist = std::make_shared<qsvt::dist::DistSolveSession>(
+              qsvt::dist::DistConfig{r, world_log2, peers[g]->channel(r)});
+          reports[g][r] = solve_qsvt_ir_batch(
+              ctx, std::span<const linalg::Vector<double>>(bs), opts);
+        } catch (...) {
+          errors[g * world + r] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (auto& t : threads) t.join();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return reports;
+}
+
 /// Run the batch on W ranks over a LocalPeerGroup; returns every rank's
 /// reports (outer index = rank).
 std::vector<std::vector<QsvtIrReport>> solve_distributed(
     const qsvt::QsvtSolverContext& ctx, const std::vector<linalg::Vector<double>>& bs,
     const QsvtIrOptions& options, std::uint32_t world_log2) {
-  const std::uint32_t world = 1u << world_log2;
-  qsim::exec::dist::LocalPeerGroup group(world);
-  std::vector<std::vector<QsvtIrReport>> per_rank(world);
-  std::vector<std::exception_ptr> errors(world);
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < world; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        QsvtIrOptions opts = options;
-        opts.dist = std::make_shared<qsvt::dist::DistSolveSession>(
-            qsvt::dist::DistConfig{r, world_log2, group.channel(r)});
-        per_rank[r] = solve_qsvt_ir_batch(
-            ctx, std::span<const linalg::Vector<double>>(bs), opts);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (std::uint32_t r = 0; r < world; ++r) {
-    if (errors[r]) std::rethrow_exception(errors[r]);
-  }
-  return per_rank;
+  return std::move(solve_groups(ctx, bs, options, world_log2, 1)[0]);
 }
 
 void expect_reports_identical(const QsvtIrReport& a, const QsvtIrReport& b, const char* what) {
@@ -269,6 +285,78 @@ TEST(DistSolve, SessionServesSequentialBatches) {
   for (std::size_t i = 0; i < results[0].size(); ++i) {
     EXPECT_EQ(results[0][i], results[1][i]) << "component " << i;
   }
+}
+
+/// Tiers any lane of `reports` solved at: the rank programs a group builds.
+std::uint64_t tiers_used(const std::vector<QsvtIrReport>& reports) {
+  std::uint64_t tiers = 0;
+  for (int t = kTierHalf; t <= kTierDouble; ++t) {
+    bool used = false;
+    for (const auto& rep : reports) used = used || rep.tier_solves[t] > 0;
+    tiers += used ? 1 : 0;
+  }
+  return tiers;
+}
+
+/// The exchange plan and the rank programs belong to the context, like
+/// its single-node programs: the first job over a context builds them, and
+/// every later job — each with fresh sessions, as the service makes per
+/// job — reuses them and compiles nothing.
+TEST(DistSolve, WarmContextCompilesNothingAcrossJobs) {
+  Xoshiro256 rng(75);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  std::vector<linalg::Vector<double>> bs;
+  for (int k = 0; k < 2; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
+  auto options = base_options();
+  options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+  const auto& programs = *ctx.programs;
+  EXPECT_EQ(programs.exchange_plans(), 0u);
+  EXPECT_EQ(programs.rank_specializations(), 0u);
+
+  const auto first = solve_distributed(ctx, bs, options, 1);
+  const std::uint64_t tiers = tiers_used(first[0]);
+  EXPECT_GE(tiers, 2u);  // adaptive escalated past half
+  EXPECT_EQ(programs.exchange_plans(), 1u);
+  EXPECT_EQ(programs.rank_specializations(), 2 * tiers);
+  // Shard replays never build a single-node program.
+  EXPECT_EQ(programs.specializations(), 0u);
+
+  const auto second = solve_distributed(ctx, bs, options, 1);
+  EXPECT_EQ(programs.exchange_plans(), 1u);
+  EXPECT_EQ(programs.rank_specializations(), 2 * tiers);
+  EXPECT_EQ(programs.specializations(), 0u);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    for (std::size_t l = 0; l < bs.size(); ++l) {
+      expect_reports_identical(first[r][l], second[r][l], "second job vs first");
+    }
+  }
+}
+
+/// Two shard groups solving over one context at once share its plan and
+/// rank programs: each is built once, whichever group asks first, and both
+/// groups reproduce the single-node batch bitwise.
+TEST(DistSolve, ConcurrentGroupsShareOneContext) {
+  Xoshiro256 rng(76);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  std::vector<linalg::Vector<double>> bs;
+  for (int k = 0; k < 2; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
+  auto options = base_options();
+  options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+
+  const auto groups = solve_groups(ctx, bs, options, 1, 2);
+  const auto want =
+      solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(bs), options);
+  for (const auto& group : groups) {
+    for (const auto& rank : group) {
+      for (std::size_t l = 0; l < bs.size(); ++l) {
+        expect_reports_identical(rank[l], want[l], "concurrent group vs single");
+      }
+    }
+  }
+  EXPECT_EQ(ctx.programs->exchange_plans(), 1u);
+  EXPECT_EQ(ctx.programs->rank_specializations(), 2 * tiers_used(want));
 }
 
 }  // namespace
