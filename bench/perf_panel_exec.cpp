@@ -8,15 +8,28 @@
 // per-RHS directions agreeing within tolerance. Every replay runs on the
 // calling thread, so the ratio measures the lane kernels alone.
 //
+// A second table times one `PanelExecutor<T>::run` sweep of each
+// scenario's program at B = 1…16, 17 and 24 lanes on every tier. Widths
+// without a compiled kernel replay padded to the next compiled width
+// (never below 2), in chunks of at most 16 lanes. Acceptance: no B-lane
+// sweep costs more than 1.15x the sweeps it pads to, i.e. the next
+// compiled width, or above 16 lanes the sum of its chunks' padded widths.
+// Every round times each lane count once, so a ratio pairs sweeps of the
+// same round; the gate takes its median over 15 rounds, so a burst of
+// host load in a few rounds does not decide it.
+//
 //   build/bench/perf_panel_exec            # full run + acceptance check
 //   build/bench/perf_panel_exec --smoke    # one tiny rep, no acceptance
 //
-// Emits BENCH_panel_exec.json (see bench_io.hpp) next to the table: per
-// scenario, `<scenario>.seq_ms_per_rhs` and `<scenario>.panel_ms_w<width>`.
+// Emits BENCH_panel_exec.json (see bench_io.hpp) next to the tables: per
+// scenario, `<scenario>.seq_ms_per_rhs` and `<scenario>.panel_ms_w<width>`;
+// per scenario and tier, the sweep time `<scenario>.<tier>.lane_ms_b<B>`.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +39,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "linalg/random_matrix.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsvt/solve.hpp"
 
 namespace {
@@ -45,15 +59,102 @@ struct Measurement {
   double worst_diff = 0.0;                      ///< panel vs one-lane directions
 };
 
-Measurement run_scenario(const Scenario& sc, const std::vector<std::size_t>& widths,
-                         std::size_t n_rhs) {
-  const auto ctx = qsvt::prepare_qsvt_solver(sc.A, sc.options);
+/// Seconds per `PanelExecutor<T>::run` sweep of the context's T program
+/// at each lane count of `lanes`, for each of `rounds` rounds:
+/// result[i][r] is lane count i in round r. A round times every count
+/// once, in alternating order, so the counts of one round see about the
+/// same host load; each sample is long enough (>= 5 ms) to rise above
+/// the timer.
+template <typename T>
+std::vector<std::vector<double>> sweep_seconds(const qsvt::QsvtSolverContext& ctx,
+                                               const std::vector<linalg::Vector<double>>& rhs,
+                                               const std::vector<std::size_t>& lanes,
+                                               int rounds) {
+  const auto& program = ctx.programs->get<T>();
+  const qsim::exec::PanelExecutor<T> exec;
+  std::vector<qsim::exec::StatePanel<T>> panels;
+  std::vector<int> sweeps;
+  for (const std::size_t b : lanes) {
+    auto& panel = panels.emplace_back(ctx.circuit->circuit.num_qubits(), b);
+    for (std::size_t l = 0; l < b; ++l) panel.load_lane_real(l, rhs[l % rhs.size()]);
+    Timer probe;
+    exec.run(program, panel);
+    sweeps.push_back(std::max(1, static_cast<int>(5e-3 / std::fmax(probe.seconds(), 1e-9))));
+  }
+  std::vector<std::vector<double>> seconds(lanes.size(), std::vector<double>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::size_t i = r % 2 == 0 ? k : lanes.size() - 1 - k;
+      Timer t;
+      for (int n = 0; n < sweeps[i]; ++n) exec.run(program, panels[i]);
+      seconds[i][r] = t.seconds() / sweeps[i];
+    }
+  }
+  return seconds;
+}
+
+/// The compiled widths a B-lane sweep runs at: B itself if compiled,
+/// else one padded width per chunk of at most 16 lanes.
+std::vector<std::size_t> compiled_widths(std::size_t lanes) {
+  if (lanes == 1) return {1};
+  std::vector<std::size_t> widths;
+  for (std::size_t first = 0; first < lanes; first += qsim::exec::kMaxCompiledLanes) {
+    const std::size_t count = std::min(qsim::exec::kMaxCompiledLanes, lanes - first);
+    widths.push_back(qsim::exec::padded_width(count));
+  }
+  return widths;
+}
+
+/// One column of the lane-count table: per lane count, the best sweep
+/// time, and the median over rounds of that sweep's ratio to the compiled
+/// sweeps it pads to, timed in the same round.
+struct LaneColumn {
+  std::string name;
+  std::vector<double> seconds;
+  std::vector<double> ratio;
+};
+
+template <typename T>
+LaneColumn lane_column(const std::string& name, const qsvt::QsvtSolverContext& ctx,
+                       const std::vector<linalg::Vector<double>>& rhs,
+                       const std::vector<std::size_t>& lane_counts, int rounds) {
+  // Time every lane count and every compiled width one of them pads to.
+  std::set<std::size_t> measured(lane_counts.begin(), lane_counts.end());
+  for (const std::size_t b : lane_counts) {
+    for (const std::size_t w : compiled_widths(b)) measured.insert(w);
+  }
+  const std::vector<std::size_t> lanes(measured.begin(), measured.end());
+  const auto t = sweep_seconds<T>(ctx, rhs, lanes, rounds);
+  const auto at = [&](std::size_t b) -> const std::vector<double>& {
+    return t[std::lower_bound(lanes.begin(), lanes.end(), b) - lanes.begin()];
+  };
+
+  LaneColumn col{name, {}, {}};
+  for (const std::size_t b : lane_counts) {
+    const auto& tb = at(b);
+    col.seconds.push_back(*std::min_element(tb.begin(), tb.end()));
+    const auto widths = compiled_widths(b);
+    if (widths == std::vector<std::size_t>{b}) {
+      col.ratio.push_back(1.0);
+      continue;
+    }
+    std::vector<double> ratios;
+    for (int r = 0; r < rounds; ++r) {
+      double padded = 0.0;
+      for (const std::size_t w : widths) padded += at(w)[r];
+      ratios.push_back(tb[r] / padded);
+    }
+    std::nth_element(ratios.begin(), ratios.begin() + rounds / 2, ratios.end());
+    col.ratio.push_back(ratios[rounds / 2]);
+  }
+  return col;
+}
+
+Measurement run_scenario(const qsvt::QsvtSolverContext& ctx, const Scenario& sc,
+                         const std::vector<linalg::Vector<double>>& rhs,
+                         const std::vector<std::size_t>& widths) {
   const std::size_t N = sc.A.rows();
-
-  Xoshiro256 rng(123);
-  std::vector<linalg::Vector<double>> rhs;
-  for (std::size_t k = 0; k < n_rhs; ++k) rhs.push_back(linalg::random_unit_vector(rng, N));
-
+  const std::size_t n_rhs = rhs.size();
   Measurement m;
 
   // Sequential baseline: one one-lane panel per right-hand side, one full
@@ -106,6 +207,13 @@ int run(bool smoke) {
   const std::size_t n_rhs = smoke ? 8 : 16;
   const std::vector<std::size_t> widths = smoke ? std::vector<std::size_t>{4}
                                                 : std::vector<std::size_t>{2, 4, 8, 16};
+  std::vector<std::size_t> lane_counts = {3, 17};
+  if (!smoke) {
+    lane_counts.clear();
+    for (std::size_t b = 1; b <= 16; ++b) lane_counts.push_back(b);
+    lane_counts.insert(lane_counts.end(), {17, 24});
+  }
+  const int rounds = smoke ? 1 : 15;
 
   Scenario scenarios[] = {
       {"tridiag-8-banded", linalg::dirichlet_laplacian(8), tridiag, reps},
@@ -126,9 +234,20 @@ int run(bool smoke) {
   for (const auto w : widths) header.push_back("panel@" + std::to_string(w));
   header.push_back("max |d dir|");
   TextTable table(header);
+  std::vector<LaneColumn> lane_columns;
   for (const auto& sc : scenarios) {
-    const auto m = run_scenario(sc, widths, n_rhs);
+    const auto ctx = qsvt::prepare_qsvt_solver(sc.A, sc.options);
+    Xoshiro256 rhs_rng(123);
+    std::vector<linalg::Vector<double>> rhs;
+    for (std::size_t k = 0; k < n_rhs; ++k) {
+      rhs.push_back(linalg::random_unit_vector(rhs_rng, sc.A.rows()));
+    }
+    const auto m = run_scenario(ctx, sc, rhs, widths);
     const std::string key = std::string(sc.name) + ".";
+    lane_columns.push_back(
+        lane_column<qsim::exec::f16>(key + "half", ctx, rhs, lane_counts, rounds));
+    lane_columns.push_back(lane_column<float>(key + "single", ctx, rhs, lane_counts, rounds));
+    lane_columns.push_back(lane_column<double>(key + "double", ctx, rhs, lane_counts, rounds));
     report.metric(key + "seq_ms_per_rhs", m.sequential_seconds * 1e3);
     std::vector<std::string> row = {sc.name, fmt_fix(m.sequential_seconds * 1e3, 2)};
     for (std::size_t wi = 0; wi < widths.size(); ++wi) {
@@ -146,6 +265,29 @@ int run(bool smoke) {
   std::printf("\n");
   report.metric("exact", exact ? 1.0 : 0.0);
 
+  // Lane-count table: rows are lane counts, columns scenario.tier; each
+  // cell is the sweep time and its ratio to the compiled sweeps it pads to.
+  std::vector<std::string> lane_header = {"lanes"};
+  for (const auto& col : lane_columns) lane_header.push_back(col.name);
+  TextTable lane_table(lane_header);
+  double worst_ratio = 0.0;
+  for (std::size_t bi = 0; bi < lane_counts.size(); ++bi) {
+    std::vector<std::string> row = {std::to_string(lane_counts[bi])};
+    for (const auto& col : lane_columns) {
+      report.metric(col.name + ".lane_ms_b" + std::to_string(lane_counts[bi]),
+                    col.seconds[bi] * 1e3);
+      row.push_back(fmt_fix(col.seconds[bi] * 1e3, 3) + " (" + fmt_fix(col.ratio[bi], 2) + ")");
+      worst_ratio = std::fmax(worst_ratio, col.ratio[bi]);
+    }
+    lane_table.add_row(row);
+  }
+  std::printf("ms per sweep by lane count, best of %d rounds (median ratio to the compiled "
+              "sweeps it pads to)\n",
+              rounds);
+  lane_table.print(std::cout);
+  std::printf("\n");
+  report.metric("worst_lane_ratio", worst_ratio);
+
   if (smoke) {
     std::printf("smoke mode: kernels exercised, acceptance not evaluated (diff %s)\n",
                 exact ? "ok" : "ABOVE TOLERANCE");
@@ -155,8 +297,10 @@ int run(bool smoke) {
 
   std::printf("acceptance: panel width 8 >= 2x sequential replay on the banded workload\n");
   std::printf("  %.2fx -> %s\n", acceptance, acceptance >= 2.0 ? "PASS" : "FAIL");
+  std::printf("acceptance: every B-lane sweep <= 1.15x the compiled sweeps it pads to\n");
+  std::printf("  worst %.2fx -> %s\n", worst_ratio, worst_ratio <= 1.15 ? "PASS" : "FAIL");
   if (!exact) std::printf("WARNING: direction mismatch above 1e-9\n");
-  const bool pass = exact && acceptance >= 2.0;
+  const bool pass = exact && acceptance >= 2.0 && worst_ratio <= 1.15;
   report.metric("speedup_w8", acceptance);
   report.pass(pass);
   report.write();

@@ -45,8 +45,9 @@ struct DistRunMetrics {
   double local_seconds = 0.0;         ///< local-run kernel time
 };
 
-/// Widest shard panel: PanelExecutor's widest compile-time lane count.
-inline constexpr std::size_t kMaxShardLanes = 16;
+/// Widest shard panel: PanelExecutor's widest compiled lane count, so a
+/// full shard group replays in one sweep with no pad lanes.
+inline constexpr std::size_t kMaxShardLanes = kMaxCompiledLanes;
 
 /// Lanes per shard panel for a tier group of `group` right-hand sides:
 /// min(group, kMaxShardLanes), lowered (never below 1) until the largest

@@ -4,8 +4,9 @@
 // innermost (see panel.hpp). Each kernel is one serial loop over
 // amplitudes with a SIMD inner loop over lanes: parallelism lives one
 // level up, where the service's solve pool replays independent panels on
-// its own threads. A result depends only on the program and the lane
-// count, never on how many threads the process runs.
+// its own threads. A lane's result depends only on the program and on
+// whether it ran alone or in a panel of >= 2 lanes, never on how many
+// threads the process runs.
 #pragma once
 
 #include <algorithm>
@@ -36,15 +37,16 @@ std::uint64_t expand_index(std::uint64_t compact, const CompiledOp<T>& op) {
 // Amplitudes load/store through the storage precision T but all kernel
 // arithmetic happens in the compute precision exec_compute_t<T> (float for
 // the f16 tier, T itself for float/double). The lane count is a template
-// parameter (kLanes == 0 means runtime width): QSVT programs are dominated
-// by heavily-controlled ops with short inner loops, and a compile-time
-// lane count unrolls them into straight-line SIMD.
+// parameter (1, 2, 4, 8 or 16; PanelExecutor::run pads other widths):
+// QSVT programs are dominated by heavily-controlled ops with short inner
+// loops, and a compile-time lane count unrolls them into straight-line
+// SIMD. Every kernel of width >= 2 does the same arithmetic per lane in
+// the same order, so a lane's result does not depend on the width.
 
 template <int kLanes, typename T>
-void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                    std::int64_t lanes_rt) {
+void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n) {
   using C = exec_compute_t<T>;
-  const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
+  constexpr std::int64_t lanes = kLanes;
   const std::uint64_t bit = op.target_bit;
   const std::int64_t pairs = n >> op.free_shift;
   // Below the lowest re-inserted bit, consecutive loop indices map to
@@ -162,101 +164,38 @@ void dense_block_one_lane(const CompiledOp<T>& op, T* re, T* im, std::size_t sub
   }
 }
 
-/// Generic-width dense block (runtime lane count; accumulators live at
-/// the end of the scratch buffer).
-template <typename T>
-void panel_dense_block_generic(const CompiledOp<T>& op, T* re, T* im, std::size_t sub_dim,
-                               std::int64_t lanes, std::int64_t bb, exec_compute_t<T>* scratch) {
-  using C = exec_compute_t<T>;
-  const std::uint64_t* offsets = op.offsets.data();
-  const C* mre = op.payload_re.data();
-  const C* mim = op.payload_im.data();
-  C* sre = scratch;
-  C* sim = scratch + sub_dim * static_cast<std::size_t>(lanes);
-  C* acc_re = scratch + 2 * sub_dim * static_cast<std::size_t>(lanes);
-  C* acc_im = acc_re + lanes;
-  const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
-  for (std::size_t s = 0; s < sub_dim; ++s) {
-    const std::int64_t src = static_cast<std::int64_t>(base | offsets[s]) * lanes;
-    C* row_re = sre + s * static_cast<std::size_t>(lanes);
-    C* row_im = sim + s * static_cast<std::size_t>(lanes);
-#pragma omp simd
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      row_re[l] = static_cast<C>(re[src + l]);
-      row_im[l] = static_cast<C>(im[src + l]);
-    }
-  }
-  for (std::size_t r = 0; r < sub_dim; ++r) {
-    const C* rre = mre + r * sub_dim;
-    const C* rim = mim + r * sub_dim;
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      acc_re[l] = C{};
-      acc_im[l] = C{};
-    }
-    for (std::size_t s = 0; s < sub_dim; ++s) {
-      const C mr = rre[s], mi = rim[s];
-      const C* xr = sre + s * static_cast<std::size_t>(lanes);
-      const C* xi = sim + s * static_cast<std::size_t>(lanes);
-#pragma omp simd
-      for (std::int64_t l = 0; l < lanes; ++l) {
-        acc_re[l] += mr * xr[l] - mi * xi[l];
-        acc_im[l] += mr * xi[l] + mi * xr[l];
-      }
-    }
-    const std::int64_t dst = static_cast<std::int64_t>(base | offsets[r]) * lanes;
-#pragma omp simd
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      re[dst + l] = static_cast<T>(acc_re[l]);
-      im[dst + l] = static_cast<T>(acc_im[l]);
-    }
-  }
-}
-
-/// Scratch length (in exec_compute_t<T> elements) one dense panel op of
-/// sub-dimension `sub_dim` needs at `lanes` lanes: the gathered sub-panel
-/// in split planes plus one accumulator row for the run-time lane count
-/// path.
-inline std::size_t panel_dense_scratch_len(std::size_t sub_dim, std::int64_t lanes) {
-  return (2 * sub_dim + 2) * static_cast<std::size_t>(lanes);
-}
-
 template <int kLanes, typename T>
 void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                       std::int64_t lanes_rt, std::vector<exec_compute_t<T>>& run_scratch) {
+                       std::vector<exec_compute_t<T>>& run_scratch) {
   using C = exec_compute_t<T>;
-  const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
   const std::int64_t blocks = n >> op.free_shift;
-  // Gathered sub-panel in split planes ([sub_dim][lanes] re then im);
-  // the run-time lane count path also keeps one accumulator row here.
-  const std::size_t scratch_len = panel_dense_scratch_len(sub_dim, lanes);
-  auto block_kernel = [&](std::int64_t bb, C* scratch) {
+  // Gathered sub-panel in split planes: [sub_dim][kLanes] re, then im.
+  const std::size_t plane = sub_dim * kLanes;
+  if (run_scratch.size() < 2 * plane) run_scratch.resize(2 * plane);
+  C* sre = run_scratch.data();
+  C* sim = sre + plane;
+  for (std::int64_t bb = 0; bb < blocks; ++bb) {
     if constexpr (kLanes == 1) {
-      dense_block_one_lane(op, re, im, sub_dim, bb, scratch, scratch + sub_dim);
-    } else if constexpr (kLanes > 0) {
-      C* sim = scratch + sub_dim * static_cast<std::size_t>(kLanes);
+      dense_block_one_lane(op, re, im, sub_dim, bb, sre, sim);
+    } else {
       // Fused windows are <= 3 qubits by default and unroll fully; wider
       // payloads (a raised max_fuse_qubits, the block-encoding unitary)
       // loop over a run-time sub-dimension.
       switch (op.num_targets) {
-        case 1: panel_dense_block<kLanes, 2>(op, re, im, sub_dim, bb, scratch, sim); return;
-        case 2: panel_dense_block<kLanes, 4>(op, re, im, sub_dim, bb, scratch, sim); return;
-        case 3: panel_dense_block<kLanes, 8>(op, re, im, sub_dim, bb, scratch, sim); return;
-        default: panel_dense_block<kLanes, 0>(op, re, im, sub_dim, bb, scratch, sim); return;
+        case 1: panel_dense_block<kLanes, 2>(op, re, im, sub_dim, bb, sre, sim); break;
+        case 2: panel_dense_block<kLanes, 4>(op, re, im, sub_dim, bb, sre, sim); break;
+        case 3: panel_dense_block<kLanes, 8>(op, re, im, sub_dim, bb, sre, sim); break;
+        default: panel_dense_block<kLanes, 0>(op, re, im, sub_dim, bb, sre, sim); break;
       }
-    } else {
-      panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch);
     }
-  };
-  if (run_scratch.size() < scratch_len) run_scratch.resize(scratch_len);
-  for (std::int64_t bb = 0; bb < blocks; ++bb) block_kernel(bb, run_scratch.data());
+  }
 }
 
 template <int kLanes, typename T>
-void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                          std::int64_t lanes_rt) {
+void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n) {
   using C = exec_compute_t<T>;
-  const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
+  constexpr std::int64_t lanes = kLanes;
   const std::uint32_t k = op.num_targets;
   const std::int64_t count = n >> op.free_shift;  // firing amplitudes only
   const std::uint64_t* target_bits = op.target_bits.data();
@@ -295,20 +234,20 @@ void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 
 /// One op against a panel (the per-op body of PanelExecutor::run_impl).
 template <int kLanes, typename T>
-void panel_apply_op(const CompiledOp<T>& op, T* re, T* im, std::int64_t n, std::int64_t lanes,
+void panel_apply_op(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
                     std::vector<exec_compute_t<T>>& dense_scratch) {
   switch (op.kind) {
     case OpKind::kApply1q:
-      panel_apply_1q<kLanes>(op, re, im, n, lanes);
+      panel_apply_1q<kLanes>(op, re, im, n);
       break;
     case OpKind::kDense:
-      panel_apply_dense<kLanes>(op, re, im, n, lanes, dense_scratch);
+      panel_apply_dense<kLanes>(op, re, im, n, dense_scratch);
       break;
     case OpKind::kDiagonal:
-      panel_apply_diagonal<kLanes>(op, re, im, n, lanes);
+      panel_apply_diagonal<kLanes>(op, re, im, n);
       break;
     case OpKind::kGlobalPhase:
-      panel_apply_phase(op, re, im, n, lanes);
+      panel_apply_phase(op, re, im, n, kLanes);
       break;
   }
 }

@@ -1,14 +1,16 @@
 // Panel execution vs the gate interpreter: replaying one compiled program
 // over a StatePanel must reproduce, lane by lane, what gate-by-gate
 // interpretation does to the same initial states. Covered: one-lane
-// panels (the single-RHS path, with its own dense kernel), a ragged and a
-// templated multi-lane width, all three storage tiers, fused windows up to
-// 5 qubits, a dense-embedding QSVT program (whose block-encoding unitary
-// is one 5-target dense op), and the panel-wide reductions (norms,
+// panels (the single-RHS path, with its own dense kernel), compiled and
+// padded (ragged, wider than 16) lane widths, all three storage tiers,
+// fused windows up to 5 qubits, a dense-embedding QSVT program (whose
+// block-encoding unitary is one 5-target dense op), lane results bitwise
+// independent of the panel width, and the panel-wide reductions (norms,
 // postselection) against their Statevector counterparts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <type_traits>
@@ -146,15 +148,73 @@ TEST(PanelExec, DenseEmbeddingQsvtProgramMatchesInterpreterHalf) {
 }
 
 TEST(PanelExec, RaggedLaneCounts) {
-  // Lane counts that are not powers of two (the tail panel of a ragged
-  // batch) must be exact too — the lane loop has no padding assumption.
+  // Lane counts with no compiled kernel (the tail panel of a ragged batch,
+  // lanes left after refinement drops converged ones, more than 16 lanes)
+  // replay in padded chunks; the pad lanes must never leak into a result.
   Xoshiro256 rng(75);
   const auto c = random_circuit(rng, 5, 40);
   const auto program = qsim::exec::compile<double>(c);
-  for (const std::size_t lanes : {5u, 7u, 11u}) {
+  for (const std::size_t lanes : {5u, 7u, 11u, 17u, 24u, 33u}) {
     EXPECT_LT(panel_vs_interpreter<double>(rng, c, program, 5, lanes), 1e-11)
         << "lanes=" << lanes;
   }
+}
+
+// Replay one panel whose lane l holds states[pick[l]].
+template <typename T>
+qsim::exec::StatePanel<T> replay_states(
+    const qsim::exec::Program<T>& program,
+    const std::vector<std::vector<std::complex<double>>>& states, std::uint32_t width,
+    const std::vector<std::size_t>& pick) {
+  qsim::exec::StatePanel<T> panel(width, pick.size());
+  for (std::size_t l = 0; l < pick.size(); ++l) {
+    for (std::size_t i = 0; i < panel.dim(); ++i) panel.set_amp(i, l, states[pick[l]][i]);
+  }
+  qsim::exec::PanelExecutor<T>().run(program, panel);
+  return panel;
+}
+
+template <typename T>
+void lane_results_independent_of_width() {
+  Xoshiro256 rng(79);
+  qsvt::QsvtOptions options;
+  options.eps_l = 5e-2;
+  const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 5.0), options);
+  const auto& program = ctx.programs->get<T>();
+  const std::uint32_t width = ctx.circuit->circuit.num_qubits();
+  constexpr std::size_t kStates = 33;
+  std::vector<std::vector<std::complex<double>>> states;
+  for (std::size_t s = 0; s < kStates; ++s) states.push_back(random_state(rng, width));
+
+  // Reference: every state replayed in a full 16-lane panel.
+  std::vector<qsim::exec::StatePanel<T>> full;
+  for (std::size_t first = 0; first < kStates; first += 16) {
+    std::vector<std::size_t> pick;
+    for (std::size_t l = 0; l < 16; ++l) pick.push_back(std::min(first + l, kStates - 1));
+    full.push_back(replay_states(program, states, width, pick));
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t lanes : {2u, 3u, 5u, 7u, 9u, 12u, 15u, 17u, 24u, 33u}) {
+    std::vector<std::size_t> pick(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) pick[l] = l;
+    const auto panel = replay_states(program, states, width, pick);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < panel.dim(); ++i) {
+        const auto got = panel.amp(i, l), want = full[l / 16].amp(i, l % 16);
+        mismatches += bits(got.real()) != bits(want.real()) || bits(got.imag()) != bits(want.imag());
+      }
+      EXPECT_EQ(mismatches, 0u) << "lanes=" << lanes << " lane " << l;
+    }
+  }
+}
+
+TEST(PanelExec, LaneResultsAreBitwiseIndependentOfPanelWidth) {
+  // Every width replays each lane with the same arithmetic as a 16-lane
+  // panel: the solvers' batch-vs-batch parity rests on this.
+  lane_results_independent_of_width<double>();
+  lane_results_independent_of_width<float>();
+  lane_results_independent_of_width<qsim::exec::f16>();
 }
 
 TEST(PanelExec, ProgramNarrowerThanPanelRegister) {
