@@ -244,6 +244,8 @@ int run(bool smoke) {
     }
     const auto m = run_scenario(ctx, sc, rhs, widths);
     const std::string key = std::string(sc.name) + ".";
+    // The solver runs no f16 tier; this column covers the f16 executor that
+    // bench/e2e/probes.hpp still replays, and goes with it.
     lane_columns.push_back(
         lane_column<qsim::exec::f16>(key + "half", ctx, rhs, lane_counts, rounds));
     lane_columns.push_back(lane_column<float>(key + "single", ctx, rhs, lane_counts, rounds));

@@ -173,13 +173,11 @@ void print_precision_status(const std::string& text) {
   };
   const double switches = family_sum(text, "mpqls_precision_switches_total");
   if (std::isnan(switches)) return;
-  const double half = tier("mpqls_precision_solves_total", "half");
   const double single = tier("mpqls_precision_solves_total", "single");
   const double dbl = tier("mpqls_precision_solves_total", "double");
-  if (half + single + dbl == 0.0) return;
-  std::printf("precision tiers: %.0f half / %.0f single / %.0f double solves, "
-              "%.0f escalations\n",
-              half, single, dbl, switches);
+  if (single + dbl == 0.0) return;
+  std::printf("precision tiers: %.0f single / %.0f double solves, %.0f escalations\n", single,
+              dbl, switches);
 }
 
 /// Recursive indented rendering of one span and its children. Spans

@@ -613,8 +613,7 @@ std::string SolverDaemon::metrics_text() const {
   // Per-precision-tier execution telemetry (the adaptive-precision
   // schedule's footprint; fixed-precision jobs land entirely in one tier).
   const auto tier_family = [&m](const char* name, const char* help,
-                                        const std::array<std::uint64_t, 3>& values) {
-    m.counter(name, help, values[solver::kTierHalf], {{"precision", "half"}});
+                                const std::array<std::uint64_t, solver::kTierCount>& values) {
     m.counter(name, help, values[solver::kTierSingle], {{"precision", "single"}});
     m.counter(name, help, values[solver::kTierDouble], {{"precision", "double"}});
   };

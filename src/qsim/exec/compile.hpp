@@ -33,7 +33,7 @@ FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {
 
 /// Pass 3 for one op: round its payload to the *storage* precision T (then
 /// hold it in the compute precision — identity for float/double,
-/// binary16-round-then-widen-to-float for the f16 tier) and precompute its
+/// binary16-round-then-widen-to-float for f16) and precompute its
 /// kernel tables. Takes the op's parts rather than a `FusedOp` so the dist
 /// planner can pass a rank's projection of a plan op without copying its
 /// payload.

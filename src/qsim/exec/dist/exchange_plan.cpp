@@ -350,7 +350,6 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
   return rp;
 }
 
-template RankProgram<f16> specialize_rank<f16>(const ExchangePlan&, std::uint32_t);
 template RankProgram<float> specialize_rank<float>(const ExchangePlan&, std::uint32_t);
 template RankProgram<double> specialize_rank<double>(const ExchangePlan&, std::uint32_t);
 

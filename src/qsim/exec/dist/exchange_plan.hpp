@@ -137,11 +137,10 @@ struct RankProgram {
 /// the entries the rank's partition bits select, exchange targets move to
 /// the wide qubits m..m+h-1) and goes straight through `specialize_op`,
 /// the pass single-node programs use, so op payloads round identically.
-/// Instantiated for f16, float and double.
+/// Instantiated for float and double, the tiers a shard group runs.
 template <typename T>
 RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank);
 
-extern template RankProgram<f16> specialize_rank<f16>(const ExchangePlan&, std::uint32_t);
 extern template RankProgram<float> specialize_rank<float>(const ExchangePlan&, std::uint32_t);
 extern template RankProgram<double> specialize_rank<double>(const ExchangePlan&, std::uint32_t);
 

@@ -36,7 +36,7 @@ std::uint64_t expand_index(std::uint64_t compact, const CompiledOp<T>& op) {
 
 // Amplitudes load/store through the storage precision T but all kernel
 // arithmetic happens in the compute precision exec_compute_t<T> (float for
-// the f16 tier, T itself for float/double). The lane count is a template
+// f16, T itself for float/double). The lane count is a template
 // parameter (1, 2, 4, 8 or 16; PanelExecutor::run pads other widths):
 // QSVT programs are dominated by heavily-controlled ops with short inner
 // loops, and a compile-time lane count unrolls them into straight-line

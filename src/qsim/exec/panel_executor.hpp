@@ -59,9 +59,10 @@ constexpr std::size_t padded_width(std::size_t count) {
 template <typename T>
 class PanelExecutor {
   /// Amplitudes load/store through the storage precision T but all kernel
-  /// arithmetic happens in the compute precision C (float for the f16
-  /// tier, T itself for float/double — where every cast below is a no-op
-  /// and the generated code is unchanged).
+  /// arithmetic happens in the compute precision C (float for f16, which
+  /// only the bench/e2e f16 probe still runs; T itself for float/double —
+  /// where every cast below is a no-op and the generated code is
+  /// unchanged).
   using C = exec_compute_t<T>;
 
  public:

@@ -24,17 +24,21 @@ namespace mpqls::qsim::exec {
 
 // Half-precision statevector storage. gcc/clang expose the native binary16
 // type `_Float16` on x86-64 (F16C converts under -march=x86-64-v3); the
-// software `linalg::half` is the fallback so the f16 tier always exists.
+// software `linalg::half` is the fallback. The solver no longer runs an f16
+// tier (a half request runs single; qsvt::resolve_tier). This alias,
+// ExecTraits and the generic templates at f16 stay only because
+// bench/e2e/probes.hpp still specializes and replays an f16 program; they
+// go with the next change to that file.
 #if defined(__FLT16_MAX__)
 using f16 = _Float16;
 #else
 using f16 = linalg::half;
 #endif
 
-/// Storage precision vs compute precision. The half tier stores amplitudes
+/// Storage precision vs compute precision. An f16 program stores amplitudes
 /// in binary16 but computes in float: matrices and kernel arithmetic stay
-/// fp32, only the statevector (the memory-bound side) narrows. For float
-/// and double, storage == compute and nothing changes.
+/// fp32, only the statevector narrows. For float and double, storage ==
+/// compute and nothing changes. Kept for the f16 probe (see f16 above).
 template <typename T>
 struct ExecTraits {
   using compute = T;
@@ -91,7 +95,7 @@ struct FusedIr {
 /// with a mask branch per index.
 template <typename T>
 struct CompiledOp {
-  /// Payloads live in the *compute* precision. For the f16 tier the matrix
+  /// Payloads live in the *compute* precision. For an f16 program the matrix
   /// entries are rounded through binary16 at specialization time (modelling
   /// the QPU's storage precision) but held widened to float so the kernels
   /// never do fp16 arithmetic.

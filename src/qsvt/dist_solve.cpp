@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -81,12 +80,11 @@ void DistSolveSession::sweep(const QsvtSolverContext& ctx,
   edist::allreduce_sum(*config_.channel, rank, config_.world_log2, seq_, reduce.data(),
                        reduce.size());
 
-  constexpr double imag_tol = std::is_same_v<T, qsim::exec::f16> ? 1e-2 : 1e-6;
   for (std::size_t lane = 0; lane < B; ++lane) {
     const double* r = reduce.data() + lane * (N + 1);
     QsvtSolveOutcome o;
     o.direction.assign(r, r + N);
-    ensures(r[N] < imag_tol, "dist solve: unexpected imaginary amplitudes");
+    ensures(r[N] < 1e-6, "dist solve: unexpected imaginary amplitudes");
     const double n = linalg::nrm2(o.direction);
     expects(n > 0.0, "dist solve: zero-probability postselection");
     for (auto& x : o.direction) x /= n;
@@ -138,10 +136,10 @@ std::vector<QsvtSolveOutcome> DistSolveSession::solve_directions(
   }
   std::vector<QsvtSolveOutcome> out;
   out.reserve(rhs.size());
-  switch (tier) {
-    case QpuPrecision::kHalf: solve_tier<qsim::exec::f16>(ctx, rhs, out, stats); break;
-    case QpuPrecision::kSingle: solve_tier<float>(ctx, rhs, out, stats); break;
-    default: solve_tier<double>(ctx, rhs, out, stats); break;
+  if (resolve_tier(ctx, tier) == QpuPrecision::kSingle) {
+    solve_tier<float>(ctx, rhs, out, stats);
+  } else {
+    solve_tier<double>(ctx, rhs, out, stats);
   }
   return out;
 }

@@ -68,9 +68,9 @@ class DistSolveSession {
   std::uint32_t world_log2() const { return config_.world_log2; }
 
   /// Drop-in for qsvt_solve_directions on the gate-level panel path: solve
-  /// every right-hand side at the given concrete tier in shard-panel
-  /// sweeps of shard_panel_lanes lanes (lockstep across ranks), counting
-  /// them in `stats` like local sweeps.
+  /// every right-hand side at the tier `tier` resolves to (resolve_tier) in
+  /// shard-panel sweeps of shard_panel_lanes lanes (lockstep across
+  /// ranks), counting them in `stats` like local sweeps.
   std::vector<QsvtSolveOutcome> solve_directions(
       const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
       QpuPrecision tier, PanelExecStats* stats = nullptr);

@@ -107,12 +107,13 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
     }
     // Fixed-precision contexts specialize their one tier eagerly so the
     // cost lands in prepare (where the old per-precision compile lived);
-    // adaptive contexts leave every tier lazy.
-    switch (options.precision) {
-      case QpuPrecision::kSingle: ctx.programs->get<float>(); break;
-      case QpuPrecision::kDouble: ctx.programs->get<double>(); break;
-      case QpuPrecision::kHalf: ctx.programs->get<qsim::exec::f16>(); break;
-      case QpuPrecision::kAdaptive: break;
+    // adaptive contexts leave both tiers lazy.
+    if (options.precision != QpuPrecision::kAdaptive) {
+      if (resolve_tier(ctx) == QpuPrecision::kSingle) {
+        ctx.programs->get<float>();
+      } else {
+        ctx.programs->get<double>();
+      }
     }
     // The KP-tree preparation emits the same gate structure for every
     // vector of this length (only the angles differ), so its gate count is
@@ -132,16 +133,17 @@ std::shared_ptr<const QsvtSolverContext> prepare_qsvt_solver_shared(linalg::Matr
       prepare_qsvt_solver(std::move(A), std::move(options)));
 }
 
-namespace {
-
-/// Map an optional override to the concrete tier a solve call runs at: the
-/// override wins, else the context's configured precision; kAdaptive is a
-/// schedule, not a tier, and defaults to its most accurate member.
 QpuPrecision resolve_tier(const QsvtSolverContext& ctx, std::optional<QpuPrecision> tier) {
-  QpuPrecision t = tier.value_or(ctx.options.precision);
-  if (t == QpuPrecision::kAdaptive) t = QpuPrecision::kDouble;
-  return t;
+  switch (tier.value_or(ctx.options.precision)) {
+    case QpuPrecision::kSingle:
+    case QpuPrecision::kHalf:
+      return QpuPrecision::kSingle;
+    default:
+      return QpuPrecision::kDouble;
+  }
 }
+
+namespace {
 
 linalg::Vector<double> normalized(const linalg::Vector<double>& v) {
   const double n = linalg::nrm2(v);
@@ -317,12 +319,8 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
       imag_mass += a.imag() * a.imag();
     }
     // For a real block-encoding the postselected state is real; anything
-    // else signals a convention bug. Half-precision storage rounds each
-    // amplitude at ~2^-11 relative, so its residual imaginary mass sits
-    // orders of magnitude above the float/double tiers' and the check
-    // needs a looser gate.
-    constexpr double imag_tol = std::is_same_v<T, qsim::exec::f16> ? 1e-2 : 1e-6;
-    ensures(imag_mass < imag_tol, "qsvt panel backend: unexpected imaginary amplitudes");
+    // else signals a convention bug.
+    ensures(imag_mass < 1e-6, "qsvt panel backend: unexpected imaginary amplitudes");
     const double n = linalg::nrm2(o.direction);
     expects(n > 0.0, "qsvt panel backend: zero-probability postselection");
     for (auto& x : o.direction) x /= n;
@@ -358,31 +356,21 @@ std::vector<QsvtSolveOutcome> qsvt_solve_directions(
   const bool gate_level = ctx.options.backend == Backend::kGateLevel;
   std::vector<QsvtSolveOutcome> out;
   if (gate_level && !noisy(ctx.options)) {
-    switch (t) {
-      case QpuPrecision::kHalf:
-        out = run_gate_level_panel<qsim::exec::f16>(ctx, rhs);
-        break;
-      case QpuPrecision::kSingle:
-        out = run_gate_level_panel<float>(ctx, rhs);
-        break;
-      default:
-        out = run_gate_level_panel<double>(ctx, rhs);
-        break;
-    }
+    out = t == QpuPrecision::kSingle ? run_gate_level_panel<float>(ctx, rhs)
+                                     : run_gate_level_panel<double>(ctx, rhs);
     if (stats) {
       stats->panels += 1;
       stats->lanes += rhs.size();
     }
   } else {
-    // Noise trajectories (the interpreter has no fp16 register, so the
-    // half tier runs them in float) and the matrix-function backend solve
-    // one right-hand side at a time.
+    // Noise trajectories and the matrix-function backend solve one
+    // right-hand side at a time.
     out.reserve(rhs.size());
     for (const auto* b : rhs) {
       const auto unit = normalized(*b);
       out.push_back(!gate_level ? run_matrix_function(ctx, unit)
-                    : t == QpuPrecision::kDouble ? run_noisy_trajectory<double>(ctx, unit)
-                                                 : run_noisy_trajectory<float>(ctx, unit));
+                    : t == QpuPrecision::kSingle ? run_noisy_trajectory<float>(ctx, unit)
+                                                 : run_noisy_trajectory<double>(ctx, unit));
     }
   }
   for (auto& o : out) apply_shot_noise(o.direction, ctx.options.shots, ctx.options.seed);

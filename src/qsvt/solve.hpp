@@ -8,7 +8,7 @@
 // Two interchangeable backends:
 //  * kGateLevel — builds U_Phi as a circuit, compiles it once, and replays
 //    it on every right-hand side embedded as SP(rhs)|0> (a StatePanel
-//    lane; half, single or double storage), postselecting ancillas. Noise
+//    lane; single or double storage), postselecting ancillas. Noise
 //    trajectories instead run SP(rhs) + U_Phi through the gate
 //    interpreter.
 //  * kMatrixFunction — applies the same polynomial directly to the
@@ -38,11 +38,12 @@
 namespace mpqls::qsvt {
 
 enum class Backend { kGateLevel, kMatrixFunction };
-/// QPU statevector precision. The first three are fixed tiers (wire-encoded
-/// values — append only). kHalf stores amplitudes in binary16 and computes
-/// in float.
-/// kAdaptive is not a tier: the refinement loop starts cheap and escalates
-/// half -> single -> double per lane as the residual contracts.
+/// QPU statevector precision. The enumerators are wire-encoded values
+/// (append only). Two tiers run: kSingle and kDouble. kHalf is a retired
+/// tier that stays only as a value a request may still name; it runs the
+/// single tier (see resolve_tier). kAdaptive is not a tier: the refinement
+/// loop starts each lane on single and escalates it to double on a stall
+/// or a failed dd128 check.
 enum class QpuPrecision { kSingle, kDouble, kHalf, kAdaptive };
 enum class PolyMethod { kInterpolated, kAnalytic };
 enum class EncodingKind {
@@ -145,10 +146,17 @@ struct QsvtSolveOutcome {
 QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
                                       const linalg::Vector<double>& rhs);
 
+/// The tier a solve call runs at: `tier` if given, else the context's
+/// configured precision. The one place requested precisions are
+/// normalized: kAdaptive (a schedule, not a tier) resolves to its most
+/// accurate member kDouble, and the retired kHalf resolves to kSingle.
+/// Returns kSingle or kDouble only.
+QpuPrecision resolve_tier(const QsvtSolverContext& ctx,
+                          std::optional<QpuPrecision> tier = std::nullopt);
+
 /// Tier-override variant for the adaptive refinement loop: run this solve
-/// at the given concrete precision tier (kHalf/kSingle/kDouble — never
-/// kAdaptive) regardless of the context's configured precision. A context
-/// configured kAdaptive defaults to kDouble when no tier is given.
+/// at the given concrete precision tier (never kAdaptive; see resolve_tier)
+/// regardless of the context's configured precision.
 QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
                                       const linalg::Vector<double>& rhs, QpuPrecision tier);
 

@@ -46,7 +46,7 @@ const char* precision_name(qsvt::QpuPrecision p) {
 }
 qsvt::QpuPrecision precision_from(const std::string& s) {
   if (s == "single") return qsvt::QpuPrecision::kSingle;
-  if (s == "half") return qsvt::QpuPrecision::kHalf;
+  if (s == "half") return qsvt::QpuPrecision::kHalf;  // retired tier: runs single
   if (s == "adaptive") return qsvt::QpuPrecision::kAdaptive;
   expects(s == "double", "json: unknown precision");
   return qsvt::QpuPrecision::kDouble;
@@ -118,7 +118,6 @@ Json options_to_json(const solver::QsvtIrOptions& o) {
   j["residual_precision"] = residual_precision_name(o.residual_precision);
   Json esc = Json::object();
   esc["stall_ratio"] = o.escalation.stall_ratio;
-  esc["half_floor"] = o.escalation.half_floor;
   esc["single_floor"] = o.escalation.single_floor;
   j["escalation"] = std::move(esc);
   j["qsvt"] = std::move(q);
@@ -136,7 +135,6 @@ solver::QsvtIrOptions options_from_json(const Json& j) {
   if (j.contains("escalation")) {
     const Json& esc = j.at("escalation");
     o.escalation.stall_ratio = esc.number_or("stall_ratio", o.escalation.stall_ratio);
-    o.escalation.half_floor = esc.number_or("half_floor", o.escalation.half_floor);
     o.escalation.single_floor = esc.number_or("single_floor", o.escalation.single_floor);
   }
   if (j.contains("qsvt")) {
@@ -233,10 +231,8 @@ Json report_to_json(const solver::QsvtIrReport& r) {
   j["program"] = std::move(program);
   // Adaptive-precision schedule telemetry: which tier ran what.
   Json tiers = Json::object();
-  tiers["half_solves"] = r.tier_solves[solver::kTierHalf];
   tiers["single_solves"] = r.tier_solves[solver::kTierSingle];
   tiers["double_solves"] = r.tier_solves[solver::kTierDouble];
-  tiers["half_iterations"] = r.tier_iterations[solver::kTierHalf];
   tiers["single_iterations"] = r.tier_iterations[solver::kTierSingle];
   tiers["double_iterations"] = r.tier_iterations[solver::kTierDouble];
   j["precision_tiers"] = std::move(tiers);
@@ -281,10 +277,8 @@ solver::QsvtIrReport report_from_json(const Json& j) {
   }
   if (j.contains("precision_tiers")) {  // absent in pre-adaptive traces
     const Json& tiers = j.at("precision_tiers");
-    r.tier_solves[solver::kTierHalf] = tiers.uint_or("half_solves", 0);
     r.tier_solves[solver::kTierSingle] = tiers.uint_or("single_solves", 0);
     r.tier_solves[solver::kTierDouble] = tiers.uint_or("double_solves", 0);
-    r.tier_iterations[solver::kTierHalf] = tiers.uint_or("half_iterations", 0);
     r.tier_iterations[solver::kTierSingle] = tiers.uint_or("single_iterations", 0);
     r.tier_iterations[solver::kTierDouble] = tiers.uint_or("double_iterations", 0);
   }

@@ -49,7 +49,7 @@ std::vector<SolveRequest> jobs_from_json(const Json& j);
 /// GET /v1/jobs/{id}/trace and each /v1/debug/slow entry:
 ///   {"trace_id": "<32 hex>", "spans_dropped": N, "spans": [
 ///     {"id": 1, "parent": 0, "name": "run", "start_us": 12.5,
-///      "duration_us": 830.1, "attrs": {"tier": "half", ...}},
+///      "duration_us": 830.1, "attrs": {"tier": "single", ...}},
 ///     ...]}
 /// Parents reference span ids (0 = top level); clients build the tree.
 /// Still-running spans carry "running": true and a live duration.

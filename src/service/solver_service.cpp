@@ -151,9 +151,10 @@ SolveResult SolverService::solve(const SolveRequest& request) {
         active.shard.rank, world_log2, options_.shard_channel(active.shard)});
     width = active.rhs.size();
   } else if (qsvt_opts.backend == qsvt::Backend::kGateLevel && !noisy) {
-    // Adaptive-precision jobs run most of their sweeps on the half/single
-    // tiers, whose lanes cost roughly half a double lane, so their panels
-    // carry twice the configured width at the same per-sweep footprint.
+    // Adaptive-precision jobs run most of their sweeps on the single tier,
+    // whose lanes hold half a double lane's bytes and cost about half its
+    // sweep time, so their panels carry twice the configured width at the
+    // same per-sweep footprint.
     width = std::max<std::size_t>(1, qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
                                          ? options_.panel_width * 2
                                          : options_.panel_width);
@@ -248,7 +249,7 @@ SolveResult SolverService::solve(const SolveRequest& request) {
     stats_.panels_executed += result.panels_executed;
     stats_.panel_lanes_total += result.panel_lanes;
     for (const auto& s : result.solves) {
-      for (int t = 0; t < 3; ++t) {
+      for (std::size_t t = 0; t < solver::kTierCount; ++t) {
         stats_.tier_solves_total[t] += s.report.tier_solves[t];
         stats_.tier_iterations_total[t] += s.report.tier_iterations[t];
       }

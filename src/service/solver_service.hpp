@@ -190,11 +190,11 @@ class SolverService {
     std::uint64_t panels_executed = 0;
     std::uint64_t panel_lanes_total = 0;
     /// Precision-tier telemetry, summed over every solved RHS report
-    /// (indexed by solver::kTierHalf/kTierSingle/kTierDouble). Fixed-
-    /// precision jobs land entirely in their one tier; adaptive jobs
-    /// spread across the escalation schedule.
-    std::array<std::uint64_t, 3> tier_solves_total{};
-    std::array<std::uint64_t, 3> tier_iterations_total{};
+    /// (indexed by solver::kTierSingle/kTierDouble). Fixed-precision jobs
+    /// land entirely in their one tier; adaptive jobs spread across the
+    /// escalation schedule.
+    std::array<std::uint64_t, solver::kTierCount> tier_solves_total{};
+    std::array<std::uint64_t, solver::kTierCount> tier_iterations_total{};
     std::uint64_t precision_switches_total = 0;
     /// Distributed shard-group telemetry (the mpqls_dist_* series),
     /// accumulated from each dist job's session stats.

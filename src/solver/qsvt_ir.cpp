@@ -101,42 +101,19 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
 
   const bool adaptive = ctx.options.precision == qsvt::QpuPrecision::kAdaptive;
   const auto tier_precision = [](int tier) {
-    return tier == kTierHalf     ? qsvt::QpuPrecision::kHalf
-           : tier == kTierSingle ? qsvt::QpuPrecision::kSingle
-                                 : qsvt::QpuPrecision::kDouble;
+    return tier == kTierSingle ? qsvt::QpuPrecision::kSingle : qsvt::QpuPrecision::kDouble;
   };
   const auto tier_name = [](int tier) -> std::string_view {
-    return tier == kTierHalf ? "half" : tier == kTierSingle ? "single" : "double";
+    return tier == kTierSingle ? "single" : "double";
   };
-  const auto tier_floor = [&](int tier) {
-    return tier == kTierHalf     ? options.escalation.half_floor
-           : tier == kTierSingle ? options.escalation.single_floor
-                                 : 0.0;
-  };
-  // Where the schedule starts. Fixed-precision contexts pin their tier for
-  // the whole run (telemetry lands on it, no escalation). Adaptive starts
-  // at half on the clean compiled gate path; noise trajectories run on the
-  // interpreter, which has no fp16 register, so they start at single; the
+  // Where the schedule starts. Fixed-precision contexts pin the tier their
+  // precision resolves to for the whole run (telemetry lands on it, no
+  // escalation). Adaptive starts on single on the gate path; the
   // matrix-function backend does all arithmetic in double regardless, so
   // adaptive is a no-op there.
-  int initial_tier = kTierDouble;
-  if (adaptive) {
-    const bool noisy = ctx.options.noise.depolarizing_per_gate > 0.0 ||
-                       ctx.options.noise.damping_per_gate > 0.0;
-    if (ctx.options.backend != qsvt::Backend::kGateLevel) {
-      initial_tier = kTierDouble;
-    } else if (noisy) {
-      initial_tier = kTierSingle;
-    } else {
-      initial_tier = kTierHalf;
-    }
-  } else {
-    switch (ctx.options.precision) {
-      case qsvt::QpuPrecision::kHalf: initial_tier = kTierHalf; break;
-      case qsvt::QpuPrecision::kSingle: initial_tier = kTierSingle; break;
-      default: initial_tier = kTierDouble; break;
-    }
-  }
+  const bool starts_single = adaptive ? ctx.options.backend == qsvt::Backend::kGateLevel
+                                      : qsvt::resolve_tier(ctx) == qsvt::QpuPrecision::kSingle;
+  const int initial_tier = starts_single ? kTierSingle : kTierDouble;
 
   // Per-lane refinement state: each lane runs exactly a one-RHS solve's
   // decisions (de-normalization, convergence and stagnation checks, comm
@@ -224,7 +201,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
   // their residuals sharing one panel sweep per precision tier. Converged
   // and stagnated lanes drop out, so occupancy may shrink round over
   // round; adaptive lanes escalate tiers independently, so a round may
-  // split into up to three tier-group sweeps. ---
+  // split into two tier-group sweeps. ---
   int round = 0;
   for (;;) {
     ++round;
@@ -240,7 +217,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
           const double dd = dd128_scaled_residual(lane);
           lane.dd_checked = true;
           lane.rep.dd128_final_residual = dd;
-          if (dd > 2.0 * options.eps && lane.tier < kTierDouble) {
+          if (dd > 2.0 * options.eps && lane.tier == kTierSingle) {
             escalate(lane, kTierDouble);
           } else {
             lane.rep.dd128_verified = dd <= 2.0 * options.eps;
@@ -258,12 +235,10 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
         lane.active = false;
         continue;
       }
-      if (adaptive) {
-        // Proactive floors: below a tier's floor its roundoff stops the
-        // contraction, so the next iteration runs one tier up.
-        while (lane.tier < kTierDouble && lane.omega <= tier_floor(lane.tier)) {
-          escalate(lane, lane.tier + 1);
-        }
+      if (adaptive && lane.tier == kTierSingle && lane.omega <= options.escalation.single_floor) {
+        // Proactive floor: below it single's roundoff stops the
+        // contraction, so the next iteration runs on double.
+        escalate(lane, kTierDouble);
       }
       roster.push_back(l);
     }
@@ -272,7 +247,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
     // Snapshot the tier groups before any solve: a lane that escalates
     // after its group's sweep must not be swept again by a higher tier's
     // group in the same round.
-    std::array<std::vector<std::size_t>, 3> groups;
+    std::array<std::vector<std::size_t>, kTierCount> groups;
     for (const std::size_t l : roster) {
       groups[static_cast<std::size_t>(lanes[l].tier)].push_back(l);
     }
@@ -281,7 +256,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
       for (const std::size_t l : group) total += lanes[l].rep.precision_switches;
       return total;
     };
-    for (int tier = kTierHalf; tier <= kTierDouble; ++tier) {
+    for (int tier = kTierSingle; tier <= kTierDouble; ++tier) {
       const auto& group = groups[static_cast<std::size_t>(tier)];
       if (group.empty()) continue;
 
@@ -333,8 +308,8 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
           if (omega_new < lane.omega) lane.omega = omega_new;
           if (omega_new > options.eps &&
               omega_new > options.escalation.stall_ratio * prev) {
-            if (lane.tier < kTierDouble) {
-              escalate(lane, lane.tier + 1);
+            if (lane.tier == kTierSingle) {
+              escalate(lane, kTierDouble);
             } else if (omega_new >= prev) {
               // Double-tier stagnation: the precision-u floor is reached.
               lane.active = false;

@@ -1,6 +1,6 @@
 // Algorithm 2 of the paper: mixed-precision iterative refinement around
 // the QSVT linear solver. The QPU computes low-accuracy solution
-// directions (accuracy eps_l, optionally in single-precision arithmetic);
+// directions (accuracy eps_l, in single or double precision);
 // the CPU computes residuals and updates in high precision u, normalizes
 // each right-hand side before shipping it (Remark 2), de-normalizes the
 // returned direction with Brent's method, and stops on the scaled
@@ -30,25 +30,22 @@ enum class ResidualPrecision {
 };
 
 /// When `qsvt.precision == kAdaptive`, how the refinement loop escalates a
-/// lane's tier (half -> single -> double). Two triggers, both per lane:
-///  * proactive floors — once the residual drops to a tier's floor the next
-///    iteration runs one tier up (the cheap tier has done all the work its
-///    roundoff lets it contribute; Remark 2 normalization is what makes the
-///    cheap iterations contract at full rate above the floor);
+/// lane from the single tier to double. Two triggers, both per lane:
+///  * proactive floor — once the residual drops to `single_floor` the next
+///    iteration runs on double;
 ///  * stall — an iteration that contracts by less than `stall_ratio`
-///    escalates immediately (catches whatever the static floors miss).
-/// Escalation is monotone; the double tier keeps the fixed-precision
-/// stagnation rule (deactivate when the residual stops improving).
-/// Default floors come from the measured tier behavior: the half tier's
-/// ~2^-11 amplitude rounding caps its contraction near 1e-2 per iteration,
-/// so it only pays for the large-residual solves (floor 3e-2 ≈ first solve
-/// plus change); the single tier contracts at the double tier's full rate
-/// arbitrarily deep — normalized residuals absorb its roundoff exactly as
-/// Remark 2 argues — so its floor sits below any practical eps and the
-/// stall trigger alone decides when double is really needed.
+///    escalates immediately.
+/// A lane whose double-precision convergence signal fails the final dd128
+/// check also escalates. Escalation is monotone; the double tier keeps the
+/// fixed-precision stagnation rule (deactivate when the residual stops
+/// improving). In Theorem III.1 the QPU's accuracy enters only through the
+/// contraction factor eps_l kappa, and the final accuracy comes from the
+/// residual at precision u: the single tier contracts at the double
+/// tier's rate arbitrarily deep (normalized residuals absorb its roundoff,
+/// Remark 2), so its floor sits below any practical eps and the stall
+/// trigger alone decides when double is really needed.
 struct EscalationPolicy {
-  double stall_ratio = 0.5;   ///< escalate when omega_new > stall_ratio * omega
-  double half_floor = 3e-2;   ///< leave the half tier at this scaled residual
+  double stall_ratio = 0.5;     ///< escalate when omega_new > stall_ratio * omega
   double single_floor = 1e-12;  ///< leave the single tier at this scaled residual
 };
 
@@ -85,6 +82,11 @@ struct SolveTelemetry {
   std::uint64_t circuit_gates = 0;
 };
 
+/// Tier indices of the per-precision telemetry arrays.
+inline constexpr int kTierSingle = 0;
+inline constexpr int kTierDouble = 1;
+inline constexpr std::size_t kTierCount = 2;
+
 struct QsvtIrReport {
   linalg::Vector<double> x;
   std::vector<double> scaled_residuals;  ///< omega after each solve (0 = first)
@@ -107,11 +109,11 @@ struct QsvtIrReport {
   std::uint64_t program_depth = 0;         ///< greedy depth of the program
   double program_compile_seconds = 0.0;
 
-  /// Per-precision-tier execution telemetry, indexed half/single/double
-  /// (kTierHalf..kTierDouble). Fixed-precision runs report everything
-  /// under their single tier; adaptive runs spread across the schedule.
-  std::array<std::uint64_t, 3> tier_solves{};      ///< QSVT replays per tier
-  std::array<std::uint64_t, 3> tier_iterations{};  ///< refinement iterations per tier
+  /// Per-precision-tier execution telemetry, indexed single/double
+  /// (kTierSingle, kTierDouble). Fixed-precision runs report everything
+  /// under their one tier; adaptive runs spread across the schedule.
+  std::array<std::uint64_t, kTierCount> tier_solves{};      ///< QSVT replays per tier
+  std::array<std::uint64_t, kTierCount> tier_iterations{};  ///< refinement iterations per tier
   std::uint64_t precision_switches = 0;            ///< tier escalations taken
   /// Adaptive runs re-verify the final double-precision residual in dd128
   /// before declaring convergence (the only place dd128 enters the
@@ -123,11 +125,6 @@ struct QsvtIrReport {
   std::vector<SolveTelemetry> solves;  ///< per QSVT call (first + iterations)
   hybrid::CommLog comm;                ///< Fig. 1 transfer timeline
 };
-
-/// Tier indices of the per-precision telemetry arrays.
-inline constexpr int kTierHalf = 0;
-inline constexpr int kTierSingle = 1;
-inline constexpr int kTierDouble = 2;
 
 /// Solve A x = b with Algorithm 2.
 QsvtIrReport solve_qsvt_ir(const linalg::Matrix<double>& A, const linalg::Vector<double>& b,

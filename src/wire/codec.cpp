@@ -64,7 +64,7 @@ void write_options(WireWriter& w, const solver::QsvtIrOptions& o) {
       .u8(o.qsvt.qsp_options.enable_newton ? 1 : 0)
       .u8(o.qsvt.qsp_options.enable_lbfgs ? 1 : 0)
       .f64(o.escalation.stall_ratio)
-      .f64(o.escalation.half_floor)
+      .f64(0.0)  // reserved: the retired half-tier floor
       .f64(o.escalation.single_floor);
 }
 
@@ -97,7 +97,7 @@ solver::QsvtIrOptions read_options(WireReader& r) {
   s.enable_newton = checked_enum(r, 1, "bad enable_newton flag") != 0;
   s.enable_lbfgs = checked_enum(r, 1, "bad enable_lbfgs flag") != 0;
   o.escalation.stall_ratio = r.f64();
-  o.escalation.half_floor = r.f64();
+  (void)r.f64();  // reserved: the retired half-tier floor
   o.escalation.single_floor = r.f64();
   return o;
 }
@@ -115,6 +115,11 @@ linalg::Matrix<double> read_matrix(WireReader& r) {
   const std::size_t at = r.offset();
   const std::uint64_t declared = r.u64();
   if (declared != rows * cols) throw WireError("matrix element count mismatch", at);
+  // Checked before the allocation it sizes: a short frame may not claim
+  // a cap-sized matrix.
+  if (r.remaining() / sizeof(double) < rows * cols) {
+    throw WireError("truncated matrix elements", r.offset());
+  }
   linalg::Matrix<double> A(rows, cols);
   r.read_doubles(A.data(), rows * cols);
   return A;
@@ -177,7 +182,10 @@ void write_report(WireWriter& w, const solver::QsvtIrReport& rep) {
       .u64(rep.program_ops)
       .u64(rep.program_depth)
       .f64(rep.program_compile_seconds);
+  // Each tier array keeps the retired half tier's leading slot, as 0.
+  w.u64(0);
   for (const auto v : rep.tier_solves) w.u64(v);
+  w.u64(0);
   for (const auto v : rep.tier_iterations) w.u64(v);
   w.u64(rep.precision_switches)
       .u8(rep.dd128_verified ? 1 : 0)
@@ -206,7 +214,9 @@ solver::QsvtIrReport read_report(WireReader& r) {
   rep.program_ops = r.u64();
   rep.program_depth = r.u64();
   rep.program_compile_seconds = r.f64();
+  (void)r.u64();  // reserved: retired half-tier solves
   for (auto& v : rep.tier_solves) v = r.u64();
+  (void)r.u64();  // reserved: retired half-tier iterations
   for (auto& v : rep.tier_iterations) v = r.u64();
   rep.precision_switches = r.u64();
   rep.dd128_verified = r.u8() != 0;

@@ -161,6 +161,7 @@ class WireReader {
   /// where rows*cols was already bounds-checked).
   void read_doubles(double* out, std::size_t count) {
     need(count * sizeof(double), "truncated f64 block");
+    if (count == 0) return;  // an empty vector's data() may be null, which memcpy forbids
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, data_.data() + off_, count * sizeof(double));
       off_ += count * sizeof(double);

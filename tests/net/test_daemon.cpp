@@ -172,7 +172,6 @@ TEST(SolverDaemon, ConcurrentJobsMatchSynchronousPathBitwise) {
   // Fixed-precision jobs attribute every replay to the double tier: at
   // least the 8 initial solves, plus however many refinement rounds.
   EXPECT_GE(tier_metric_value(text, "mpqls_precision_solves_total", "double"), 8.0);
-  EXPECT_EQ(tier_metric_value(text, "mpqls_precision_solves_total", "half"), 0.0);
   EXPECT_EQ(metric_value(text, "mpqls_precision_switches_total"), 0.0);
   EXPECT_GT(metric_value(text, "mpqls_solve_seconds_total"), 0.0);
   EXPECT_GE(metric_value(text, "mpqls_http_requests_total"), 7.0);  // 3 posts + polls
@@ -184,13 +183,13 @@ TEST(SolverDaemon, AdaptiveJobExportsPrecisionTierMetrics) {
   // A gate-level adaptive job reached purely through the HTTP front door
   // (the JSON knob, not C++ options) must run the escalation schedule and
   // surface it in /v1/metrics as the labeled mpqls_precision_* families.
-  // Matrix/seed match the service-level adaptive test, where the schedule
-  // provably visits the half and single tiers before converging.
+  // Matrix/seed and the 1e-6 single floor match the service-level adaptive
+  // test, where every lane starts on single and escalates to double.
   constexpr const char* kAdaptiveGateJob = R"({
     "id": "adaptive-gate",
     "matrix": {"scenario": "random", "n": 16, "kappa": 10, "seed": 601},
     "rhs": {"kind": "random", "count": 2, "seed": 24},
-    "options": {"eps": 1e-10,
+    "options": {"eps": 1e-10, "escalation": {"single_floor": 1e-6},
                 "qsvt": {"backend": "gate", "eps_l": 1e-2, "precision": "adaptive"}}
   })";
 
@@ -204,14 +203,13 @@ TEST(SolverDaemon, AdaptiveJobExportsPrecisionTierMetrics) {
 
   const std::string text = client.get("/v1/metrics").body;
   // Every tier label renders on both per-tier families, even idle ones.
-  for (const char* tier : {"half", "single", "double"}) {
+  for (const char* tier : {"single", "double"}) {
     EXPECT_GE(tier_metric_value(text, "mpqls_precision_solves_total", tier), 0.0);
     EXPECT_GE(tier_metric_value(text, "mpqls_precision_iterations_total", tier), 0.0);
   }
-  // The schedule started low and escalated: cheap tiers did real work
-  // (half handles the initial solve, single the refinement rounds) and at
-  // least one switch per solve was counted.
-  EXPECT_GT(tier_metric_value(text, "mpqls_precision_solves_total", "half"), 0.0);
+  // The schedule started low and escalated: the single tier did real work
+  // (the initial solve and the refinement rounds) and at least one switch
+  // per solve was counted.
   EXPECT_GT(tier_metric_value(text, "mpqls_precision_solves_total", "single"), 0.0);
   EXPECT_GT(tier_metric_value(text, "mpqls_precision_iterations_total", "single"), 0.0);
   EXPECT_GE(metric_value(text, "mpqls_precision_switches_total"), 2.0);  // 2 RHS

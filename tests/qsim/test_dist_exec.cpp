@@ -3,7 +3,7 @@
 // X-conjugation elimination, naive vs scheduled round counts), and W-shard
 // replay of B-lane shard panels through LocalPeerGroup reproducing a
 // B-lane StatePanel replay of the same compiled program — exactly, in
-// double, float and half, for B in {1, 3, 8, 16}, including the
+// double and float, for B in {1, 3, 8, 16}, including the
 // QSVT-shaped stream whose closing H fuses into a dense op with two
 // partition-qubit targets. Also the shard-panel reductions, the lane cap
 // that keeps exchange frames under the HTTP body cap, and the group's
@@ -315,7 +315,6 @@ TEST(DistExec, QsvtShapedReplayMatchesPanelExactly) {
       for (const std::uint32_t wl : {1u, 2u}) {
         expect_dist_matches_panel<double>(ir, wl, init);
         expect_dist_matches_panel<float>(ir, wl, init);
-        expect_dist_matches_panel<f16>(ir, wl, init);
       }
     }
   }
@@ -400,12 +399,12 @@ TEST(ShardPanel, LaneCapKeepsFramesUnderTheBodyCap) {
   EXPECT_EQ(dist::shard_panel_lanes(rp, 4, kCap), 4u);
   // A smaller body cap lowers the lane count: 2 MiB holds 3 such lanes.
   EXPECT_EQ(dist::shard_panel_lanes(rp, 40, std::size_t{2} << 20), 3u);
-  // The lane count depends on the storage width: half frames are 4x smaller.
-  dist::RankProgram<f16> half;
-  half.local_qubits = 14;
-  half.steps.resize(1);
-  half.steps[0].peer_bits = {0, 1};
-  EXPECT_EQ(dist::shard_panel_lanes(half, 40, kCap), dist::kMaxShardLanes);
+  // The lane count depends on the storage width: single frames are 2x smaller.
+  dist::RankProgram<float> single;
+  single.local_qubits = 14;
+  single.steps.resize(1);
+  single.steps[0].peer_bits = {0, 1};
+  EXPECT_EQ(dist::shard_panel_lanes(single, 40, kCap), dist::kMaxShardLanes);
   // A frame wider than the cap at one lane still runs one lane (the peer
   // daemon then refuses it with 413 on every rank), as does a cap below
   // the envelope itself.

@@ -128,6 +128,9 @@ TEST(JsonIo, SolveResultRoundTripsLosslessly) {
 
   const auto text = to_json(result).dump(2);
   const auto back = result_from_json(Json::parse(text));
+  // Two tiers: the retired half tier's keys are not rendered.
+  EXPECT_NE(text.find("\"single_solves\""), std::string::npos);
+  EXPECT_EQ(text.find("half_"), std::string::npos);
 
   EXPECT_EQ(back.id, result.id);
   EXPECT_EQ(back.fp, result.fp);
@@ -214,7 +217,6 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   req.rhs.push_back(linalg::random_unit_vector(rng, 4));
   req.options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
   req.options.escalation.stall_ratio = 0.25;
-  req.options.escalation.half_floor = 5e-3;
   req.options.escalation.single_floor = 2e-11;
 
   const auto text = to_json(req).dump(2);
@@ -223,13 +225,24 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   const auto back = request_from_json(Json::parse(text));
   EXPECT_EQ(back.options.qsvt.precision, qsvt::QpuPrecision::kAdaptive);
   EXPECT_EQ(back.options.escalation.stall_ratio, req.options.escalation.stall_ratio);
-  EXPECT_EQ(back.options.escalation.half_floor, req.options.escalation.half_floor);
   EXPECT_EQ(back.options.escalation.single_floor, req.options.escalation.single_floor);
 
-  // The half tier travels by name too.
+  // The retired half tier is still admitted by name (it runs single).
   req.options.qsvt.precision = qsvt::QpuPrecision::kHalf;
   const auto half_back = request_from_json(Json::parse(to_json(req).dump()));
   EXPECT_EQ(half_back.options.qsvt.precision, qsvt::QpuPrecision::kHalf);
+
+  // The retired half floor is an ignored key: it neither fails the parse
+  // nor is written back.
+  EXPECT_EQ(text.find("half_floor"), std::string::npos);
+  const auto retired = request_from_json(Json::parse(R"({
+    "id": "retired-floor",
+    "matrix": {"scenario": "tridiagonal", "n": 4},
+    "rhs": {"kind": "point", "index": 0},
+    "options": {"qsvt": {"precision": "adaptive"},
+                "escalation": {"half_floor": 0.5, "single_floor": 3e-12}}
+  })"));
+  EXPECT_EQ(retired.options.escalation.single_floor, 3e-12);
 
   // A request predating the escalation block keeps the defaults.
   const auto legacy = request_from_json(Json::parse(R"({
@@ -240,7 +253,6 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   })"));
   const solver::EscalationPolicy defaults;
   EXPECT_EQ(legacy.options.escalation.stall_ratio, defaults.stall_ratio);
-  EXPECT_EQ(legacy.options.escalation.half_floor, defaults.half_floor);
   EXPECT_EQ(legacy.options.escalation.single_floor, defaults.single_floor);
 }
 

@@ -21,6 +21,8 @@
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/random_matrix.hpp"
+#include "service/json_io.hpp"
+#include "wire/codec.hpp"
 
 namespace mpqls::service {
 namespace {
@@ -262,28 +264,26 @@ TEST(SolverService, AdaptivePrecisionJobEndToEnd) {
   // into the service stats the daemon exports as mpqls_precision_*.
   auto req = make_request("adaptive", 16, 4, 601);
   req.options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  req.options.escalation.single_floor = 1e-6;  // escalate mid-trajectory
   SolverService service({.cache_capacity = 2, .solve_threads = 2, .job_threads = 1,
                          .panel_width = 4});
   const auto result = service.solve(req);
 
   EXPECT_TRUE(result.all_converged);
   EXPECT_GE(result.panels_executed, 1u);  // adaptive jobs still panelize
-  std::uint64_t half = 0, single = 0, dbl = 0, switches = 0;
+  std::uint64_t single = 0, dbl = 0, switches = 0;
   for (const auto& s : result.solves) {
     const auto& rep = s.report;
     EXPECT_LE(rep.scaled_residuals.back(), req.options.eps);
     EXPECT_TRUE(rep.dd128_verified);
     EXPECT_GE(rep.precision_switches, 1u);
-    half += rep.tier_solves[solver::kTierHalf];
     single += rep.tier_solves[solver::kTierSingle];
     dbl += rep.tier_solves[solver::kTierDouble];
     switches += rep.precision_switches;
   }
-  EXPECT_GT(half, 0u);    // the schedule started low
-  EXPECT_GT(single, 0u);  // and escalated through single
+  EXPECT_GT(single, 0u);  // the schedule started low
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.tier_solves_total[solver::kTierHalf], half);
   EXPECT_EQ(stats.tier_solves_total[solver::kTierSingle], single);
   EXPECT_EQ(stats.tier_solves_total[solver::kTierDouble], dbl);
   EXPECT_EQ(stats.precision_switches_total, switches);
@@ -292,8 +292,37 @@ TEST(SolverService, AdaptivePrecisionJobEndToEnd) {
   auto fixed = make_request("fixed", 16, 2, 602);
   (void)service.solve(fixed);
   const auto after = service.stats();
-  EXPECT_EQ(after.tier_solves_total[solver::kTierHalf], half);  // unchanged
+  EXPECT_EQ(after.tier_solves_total[solver::kTierSingle], single);  // unchanged
   EXPECT_GT(after.tier_solves_total[solver::kTierDouble], dbl);
+}
+
+TEST(SolverService, HalfPrecisionJobsRunTheSingleTier) {
+  // The retired half tier is still admitted over JSON and binary frames;
+  // either way the job solves bitwise like a single-precision one, with
+  // every replay on the single tier.
+  auto req = make_request("half", 16, 2, 603);
+  req.options.qsvt.precision = qsvt::QpuPrecision::kHalf;
+  const auto from_json = request_from_json(Json::parse(to_json(req).dump()));
+  const auto from_wire = wire::decode_request(wire::encode_request(req));
+  ASSERT_EQ(from_json.options.qsvt.precision, qsvt::QpuPrecision::kHalf);
+  ASSERT_EQ(from_wire.options.qsvt.precision, qsvt::QpuPrecision::kHalf);
+  auto single = req;
+  single.options.qsvt.precision = qsvt::QpuPrecision::kSingle;
+
+  SolverService service({.cache_capacity = 4, .solve_threads = 2, .job_threads = 1,
+                         .panel_width = 4});
+  const auto want = service.solve(single);
+  for (const auto* half : {&from_json, &from_wire}) {
+    const auto got = service.solve(*half);
+    EXPECT_TRUE(got.all_converged);
+    ASSERT_EQ(got.solves.size(), want.solves.size());
+    for (std::size_t k = 0; k < want.solves.size(); ++k) {
+      const auto& rep = got.solves[k].report;
+      EXPECT_EQ(rep.x, want.solves[k].report.x);
+      EXPECT_EQ(rep.tier_solves, want.solves[k].report.tier_solves);
+      EXPECT_EQ(rep.tier_solves[solver::kTierSingle], rep.solves.size());
+    }
+  }
 }
 
 TEST(SolverService, RejectsEmptyRequest) {

@@ -130,6 +130,7 @@ TEST(DistSolve, AdaptiveRefinementRunsLockstepAcrossShards) {
   for (int k = 0; k < 2; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
   auto options = base_options();
   options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  options.escalation.single_floor = 1e-6;  // escalate mid-trajectory
   const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
 
   const auto per_rank = solve_distributed(ctx, bs, options, 1);
@@ -142,9 +143,9 @@ TEST(DistSolve, AdaptiveRefinementRunsLockstepAcrossShards) {
     const auto& rep = per_rank[0][l];
     EXPECT_TRUE(rep.converged) << "lane " << l;
     EXPECT_LE(rep.scaled_residuals.back(), options.eps) << "lane " << l;
-    // The schedule really ran tiered on the shards: half solves happened
+    // The schedule really ran tiered on the shards: single solves happened
     // and at least one escalation fired, exactly like single-node.
-    EXPECT_GT(rep.tier_solves[kTierHalf], 0u) << "lane " << l;
+    EXPECT_GT(rep.tier_solves[kTierSingle], 0u) << "lane " << l;
     EXPECT_GE(rep.precision_switches, 1u) << "lane " << l;
     EXPECT_TRUE(rep.dd128_verified) << "lane " << l;
   }
@@ -290,7 +291,7 @@ TEST(DistSolve, SessionServesSequentialBatches) {
 /// Tiers any lane of `reports` solved at: the rank programs a group builds.
 std::uint64_t tiers_used(const std::vector<QsvtIrReport>& reports) {
   std::uint64_t tiers = 0;
-  for (int t = kTierHalf; t <= kTierDouble; ++t) {
+  for (int t = kTierSingle; t <= kTierDouble; ++t) {
     bool used = false;
     for (const auto& rep : reports) used = used || rep.tier_solves[t] > 0;
     tiers += used ? 1 : 0;
@@ -309,6 +310,7 @@ TEST(DistSolve, WarmContextCompilesNothingAcrossJobs) {
   for (int k = 0; k < 2; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
   auto options = base_options();
   options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  options.escalation.single_floor = 1e-6;  // run both tiers
   const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
   const auto& programs = *ctx.programs;
   EXPECT_EQ(programs.exchange_plans(), 0u);
@@ -316,7 +318,7 @@ TEST(DistSolve, WarmContextCompilesNothingAcrossJobs) {
 
   const auto first = solve_distributed(ctx, bs, options, 1);
   const std::uint64_t tiers = tiers_used(first[0]);
-  EXPECT_GE(tiers, 2u);  // adaptive escalated past half
+  EXPECT_EQ(tiers, 2u);  // adaptive escalated from single to double
   EXPECT_EQ(programs.exchange_plans(), 1u);
   EXPECT_EQ(programs.rank_specializations(), 2 * tiers);
   // Shard replays never build a single-node program.

@@ -243,15 +243,13 @@ TEST(QsvtIrAdaptive, MatchesFixedDoubleAccuracyWellConditioned) {
   // Equal final accuracy: within 2x of fixed-double (or below target).
   EXPECT_LE(adaptive.scaled_residuals.back(),
             2.0 * std::fmax(fixed.scaled_residuals.back(), opts.eps));
-  // The schedule actually ran tiered: it started below double and
-  // escalated at least once, and the final residual was dd128-verified.
-  EXPECT_GT(adaptive.tier_solves[kTierHalf], 0u);
-  EXPECT_GE(adaptive.precision_switches, 1u);
+  // The schedule started below double, and the final residual was
+  // dd128-verified.
+  EXPECT_GT(adaptive.tier_solves[kTierSingle], 0u);
   EXPECT_TRUE(adaptive.dd128_verified);
   EXPECT_LE(adaptive.dd128_final_residual, 2.0 * opts.eps);
   // Tier accounting covers every solve exactly once.
-  EXPECT_EQ(adaptive.tier_solves[kTierHalf] + adaptive.tier_solves[kTierSingle] +
-                adaptive.tier_solves[kTierDouble],
+  EXPECT_EQ(adaptive.tier_solves[kTierSingle] + adaptive.tier_solves[kTierDouble],
             adaptive.solves.size());
   // Fixed-precision runs land entirely in their one tier and skip dd128.
   EXPECT_EQ(fixed.tier_solves[kTierDouble], fixed.solves.size());
@@ -281,32 +279,25 @@ TEST(QsvtIrAdaptive, PolicyFloorsDriveTheSchedule) {
   auto opts = make_options(1e-11, 1e-2);
   opts.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
 
-  // A floor above any residual escalates straight through to double after
-  // the first solve: one half solve, no single solves, two switches.
-  opts.escalation.half_floor = 1e300;
+  // A floor above any residual escalates to double right after the first
+  // solve: one single solve, then double only, one switch.
   opts.escalation.single_floor = 1e300;
   const auto eager = solve_qsvt_ir(A, b, opts);
   EXPECT_TRUE(eager.converged);
-  EXPECT_EQ(eager.tier_solves[kTierHalf], 1u);
-  EXPECT_EQ(eager.tier_solves[kTierSingle], 0u);
+  EXPECT_EQ(eager.tier_solves[kTierSingle], 1u);
   EXPECT_GT(eager.tier_solves[kTierDouble], 0u);
-  EXPECT_EQ(eager.precision_switches, 2u);
+  EXPECT_EQ(eager.precision_switches, 1u);
 
-  // Floors at zero and a stall ratio nothing exceeds pin the lane to the
-  // half tier: the proactive and stall triggers must both stay silent, so
-  // every solve runs on the half program. (At this tiny, well-conditioned
-  // system the half tier's roundoff is benign enough to keep contracting —
-  // whether it converges is the system's business; the policy's is that
-  // no escalation ever fires.)
-  opts.escalation.half_floor = 0.0;
+  // A floor at zero and a stall ratio nothing exceeds pin the lane to the
+  // single tier: the proactive and stall triggers must both stay silent,
+  // so every solve runs on the single program.
   opts.escalation.single_floor = 0.0;
   opts.escalation.stall_ratio = 1e300;
   opts.max_iterations = 6;
   const auto pinned = solve_qsvt_ir(A, b, opts);
   EXPECT_EQ(pinned.precision_switches, 0u);
-  EXPECT_EQ(pinned.tier_solves[kTierSingle], 0u);
   EXPECT_EQ(pinned.tier_solves[kTierDouble], 0u);
-  EXPECT_EQ(pinned.tier_solves[kTierHalf], pinned.solves.size());
+  EXPECT_EQ(pinned.tier_solves[kTierSingle], pinned.solves.size());
   if (pinned.converged) EXPECT_TRUE(pinned.dd128_verified);
 }
 
@@ -320,6 +311,9 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
   for (int k = 0; k < 6; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
   auto options = make_options(1e-11, 1e-2);
   options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  // Single alone reaches eps here; a floor mid-trajectory makes every lane
+  // escalate, each when its own residual crosses it.
+  options.escalation.single_floor = 1e-6;
   const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
 
   BatchSolveStats stats;
@@ -333,12 +327,9 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
     EXPECT_LE(rep.scaled_residuals.back(), options.eps) << "lane " << k;
     EXPECT_TRUE(rep.dd128_verified) << "lane " << k;
     EXPECT_GE(rep.precision_switches, 1u) << "lane " << k;
-    EXPECT_EQ(rep.tier_solves[kTierHalf] + rep.tier_solves[kTierSingle] +
-                  rep.tier_solves[kTierDouble],
-              rep.solves.size())
+    EXPECT_EQ(rep.tier_solves[kTierSingle] + rep.tier_solves[kTierDouble], rep.solves.size())
         << "lane " << k;
-    EXPECT_EQ(rep.tier_iterations[kTierHalf] + rep.tier_iterations[kTierSingle] +
-                  rep.tier_iterations[kTierDouble],
+    EXPECT_EQ(rep.tier_iterations[kTierSingle] + rep.tier_iterations[kTierDouble],
               static_cast<std::uint64_t>(rep.iterations))
         << "lane " << k;
   }
@@ -368,8 +359,8 @@ TEST(QsvtIrAdaptive, ContextSpecializesLazilyAndOnce) {
   const auto first = solve_qsvt_ir(ctx, b, options);
   EXPECT_TRUE(first.converged);
   const auto after_first = ctx.programs->specializations();
-  EXPECT_GE(after_first, 2u);  // at least the half and single tiers ran
-  EXPECT_LE(after_first, 3u);
+  EXPECT_GE(after_first, 1u);  // at least the single tier ran
+  EXPECT_LE(after_first, 2u);
 
   // Re-solving against the same context — same or different tier mix —
   // reuses the cached specializations: the counter must not move.
@@ -381,8 +372,33 @@ TEST(QsvtIrAdaptive, ContextSpecializesLazilyAndOnce) {
   ctx.programs->get<double>();
   ctx.programs->get<double>();
   ctx.programs->get<float>();
-  ctx.programs->get<qsim::exec::f16>();
-  EXPECT_EQ(ctx.programs->specializations(), 3u);
+  EXPECT_EQ(ctx.programs->specializations(), 2u);
+}
+
+TEST(QsvtIrAdaptive, HalfRequestRunsTheSingleTier) {
+  // The retired half tier resolves to single in one place: the context
+  // specializes only the float program, and the solve is bitwise the
+  // single-precision solve with every replay on single.
+  Xoshiro256 rng(65);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  const auto b = linalg::random_unit_vector(rng, 16);
+  auto options = make_options(1e-11, 1e-2);
+  options.qsvt.precision = qsvt::QpuPrecision::kHalf;
+  const auto half_ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+  EXPECT_EQ(qsvt::resolve_tier(half_ctx), qsvt::QpuPrecision::kSingle);
+  EXPECT_EQ(half_ctx.programs->specializations(), 1u);
+  half_ctx.programs->get<float>();
+  EXPECT_EQ(half_ctx.programs->specializations(), 1u);  // the eager one was float
+  const auto half = solve_qsvt_ir(half_ctx, b, options);
+
+  options.qsvt.precision = qsvt::QpuPrecision::kSingle;
+  const auto single = solve_qsvt_ir(A, b, options);
+  ASSERT_TRUE(single.converged);
+  EXPECT_EQ(half.x, single.x);
+  EXPECT_EQ(half.scaled_residuals, single.scaled_residuals);
+  EXPECT_EQ(half.tier_solves, single.tier_solves);
+  EXPECT_EQ(half.tier_solves[kTierSingle], half.solves.size());
+  EXPECT_EQ(half_ctx.programs->specializations(), 1u);
 }
 
 TEST(Theory, IterationBoundFormula) {

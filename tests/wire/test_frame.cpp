@@ -59,7 +59,6 @@ service::SolveRequest sample_request(std::size_t n = 6, std::size_t n_rhs = 3) {
   o.qsvt.qsp_options.enable_newton = false;
   o.qsvt.qsp_options.enable_lbfgs = true;
   o.escalation.stall_ratio = 0.375;
-  o.escalation.half_floor = 4e-3;
   o.escalation.single_floor = 6e-11;
   // Nonzero client trace id: the wire-v3 trailing field rides every
   // round trip below, and the JSON parity check carries it too.
@@ -97,8 +96,8 @@ service::SolveResult sample_result() {
     rep.program_ops = 900;
     rep.program_depth = 500;
     rep.program_compile_seconds = 0.002;
-    rep.tier_solves = {2, 3, 1};
-    rep.tier_iterations = {1, 3, 1};
+    rep.tier_solves = {3, 1};
+    rep.tier_iterations = {3, 1};
     rep.precision_switches = 2 + static_cast<std::uint64_t>(k);
     rep.dd128_verified = (k == 0);
     rep.dd128_final_residual = 3e-13;
@@ -141,7 +140,6 @@ void expect_options_eq(const solver::QsvtIrOptions& a, const solver::QsvtIrOptio
   EXPECT_EQ(a.qsvt.qsp_options.enable_newton, b.qsvt.qsp_options.enable_newton);
   EXPECT_EQ(a.qsvt.qsp_options.enable_lbfgs, b.qsvt.qsp_options.enable_lbfgs);
   EXPECT_EQ(a.escalation.stall_ratio, b.escalation.stall_ratio);
-  EXPECT_EQ(a.escalation.half_floor, b.escalation.half_floor);
   EXPECT_EQ(a.escalation.single_floor, b.escalation.single_floor);
 }
 
