@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <map>
+#include <span>
+#include <tuple>
 
 #include "common/contracts.hpp"
 
@@ -16,7 +19,7 @@ using c64 = std::complex<double>;
 std::uint64_t bit_of(std::uint32_t q) { return std::uint64_t{1} << q; }
 
 // Row-major dense product a * b (both dim x dim).
-std::vector<c64> mat_mul(const std::vector<c64>& a, const std::vector<c64>& b, std::size_t dim) {
+std::vector<c64> mat_mul(std::span<const c64> a, std::span<const c64> b, std::size_t dim) {
   std::vector<c64> out(dim * dim);
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t l = 0; l < dim; ++l) {
@@ -44,9 +47,14 @@ std::uint64_t remap_index(std::uint64_t s, const std::vector<std::uint32_t>& ori
   return out;
 }
 
+// The matrices lowered so far, by (gate matrix, adjoint, target order):
+// every application of one unitary gate gets the same array.
+using UnitaryKey = std::tuple<const void*, bool, std::vector<std::uint32_t>>;
+using UnitaryPayloads = std::map<UnitaryKey, SharedArray<c64>>;
+
 // Lower one gate into a node: payload materialized in double, adjoint
 // resolved, targets ascending, controls as masks.
-FusedOp lower(const Gate& g) {
+FusedOp lower(const Gate& g, UnitaryPayloads& unitaries) {
   FusedOp op;
   for (auto q : g.controls) op.pos_mask |= bit_of(q);
   for (auto q : g.neg_controls) op.neg_mask |= bit_of(q);
@@ -75,27 +83,33 @@ FusedOp lower(const Gate& g) {
       op.kind = OpKind::kDense;
       op.targets = {g.targets[0], g.targets[1]};
       std::sort(op.targets.begin(), op.targets.end());
-      op.payload.assign(16, c64{});
-      op.payload[0 * 4 + 0] = 1.0;
-      op.payload[1 * 4 + 2] = 1.0;
-      op.payload[2 * 4 + 1] = 1.0;
-      op.payload[3 * 4 + 3] = 1.0;
+      std::vector<c64> swap(16);
+      swap[0 * 4 + 0] = 1.0;
+      swap[1 * 4 + 2] = 1.0;
+      swap[2 * 4 + 1] = 1.0;
+      swap[3 * 4 + 3] = 1.0;
+      op.payload = std::move(swap);
       return op;
     }
     case GateKind::kUnitary: {
       op.kind = OpKind::kDense;
       op.targets = g.targets;
       std::sort(op.targets.begin(), op.targets.end());
-      const auto& m = *g.matrix;
-      const std::size_t dim = m.rows();
-      op.payload.resize(dim * dim);
-      for (std::size_t r = 0; r < dim; ++r) {
-        const std::uint64_t rr = remap_index(r, g.targets, op.targets);
-        for (std::size_t c = 0; c < dim; ++c) {
-          const std::uint64_t cc = remap_index(c, g.targets, op.targets);
-          op.payload[r * dim + c] = g.adjoint ? std::conj(m(cc, rr)) : m(rr, cc);
+      SharedArray<c64>& shared = unitaries[UnitaryKey{g.matrix.get(), g.adjoint, g.targets}];
+      if (shared.empty()) {
+        const auto& m = *g.matrix;
+        const std::size_t dim = m.rows();
+        std::vector<c64> payload(dim * dim);
+        for (std::size_t r = 0; r < dim; ++r) {
+          const std::uint64_t rr = remap_index(r, g.targets, op.targets);
+          for (std::size_t c = 0; c < dim; ++c) {
+            const std::uint64_t cc = remap_index(c, g.targets, op.targets);
+            payload[r * dim + c] = g.adjoint ? std::conj(m(cc, rr)) : m(rr, cc);
+          }
         }
+        shared = std::move(payload);
       }
+      op.payload = shared;
       return op;
     }
     case GateKind::kDiagonal: {
@@ -103,11 +117,12 @@ FusedOp lower(const Gate& g) {
       op.targets = g.targets;
       std::sort(op.targets.begin(), op.targets.end());
       const auto& d = *g.diagonal;
-      op.payload.resize(d.size());
+      std::vector<c64> payload(d.size());
       for (std::size_t s = 0; s < d.size(); ++s) {
         const c64 v = d[remap_index(s, g.targets, op.targets)];
-        op.payload[s] = g.adjoint ? std::conj(v) : v;
+        payload[s] = g.adjoint ? std::conj(v) : v;
       }
+      op.payload = std::move(payload);
       return op;
     }
     default: {
@@ -269,6 +284,7 @@ FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options) {
   const std::uint32_t max_window = std::max<std::uint32_t>(1, options.max_fuse_qubits);
 
   Window window;
+  UnitaryPayloads unitaries;
 
   auto emit = [&](FusedOp op) {
     // Peephole: merge into the previous op when it is the same-shaped
@@ -283,7 +299,9 @@ FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options) {
           return;
         }
         if (op.kind == OpKind::kDiagonal) {
-          for (std::size_t i = 0; i < prev.payload.size(); ++i) prev.payload[i] *= op.payload[i];
+          std::vector<c64> product(prev.payload.begin(), prev.payload.end());
+          for (std::size_t i = 0; i < product.size(); ++i) product[i] *= op.payload[i];
+          prev.payload = std::move(product);
           prev.source_gates += op.source_gates;
           return;
         }
@@ -328,8 +346,9 @@ FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options) {
     }
     if (is_diagonal(matrix, dim)) {
       fused.kind = OpKind::kDiagonal;
-      fused.payload.resize(dim);
-      for (std::size_t r = 0; r < dim; ++r) fused.payload[r] = matrix[r * dim + r];
+      std::vector<c64> diagonal(dim);
+      for (std::size_t r = 0; r < dim; ++r) diagonal[r] = matrix[r * dim + r];
+      fused.payload = std::move(diagonal);
       emit(std::move(fused));
       return;
     }
@@ -343,7 +362,7 @@ FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options) {
   };
 
   for (const Gate& g : circuit.gates()) {
-    FusedOp node = lower(g);
+    FusedOp node = lower(g, unitaries);
     if (!options.fuse) {
       emit(std::move(node));
       continue;

@@ -1,8 +1,9 @@
 // Circuit -> Program lowering. `lower_and_fuse` runs the precision-agnostic
 // passes (gate -> matrix materialization, adjoint resolution, target
-// sorting, single-qubit peephole fusion, <= k-qubit window fusion);
-// `specialize<T>` rounds the fused matrices to the execution precision once
-// and precomputes the kernel index tables. `compile<T>` is the one-call
+// sorting, single-qubit peephole fusion, <= k-qubit window fusion) and
+// gives every application of one `unitary` gate the same shared matrix;
+// `specialize<T>` rounds each distinct matrix to the execution precision
+// once and precomputes the kernel index tables. `compile<T>` is the one-call
 // front door and stamps the compile time into the program stats. The
 // cached, lazily specialized programs of one context live in
 // `ProgramSet` (program_set.hpp).
@@ -10,7 +11,8 @@
 
 #include <complex>
 #include <cstdint>
-#include <span>
+#include <unordered_map>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "qsim/circuit.hpp"
@@ -29,39 +31,51 @@ struct CompileOptions {
 
 /// Passes 1-2: lower gates to adjoint-resolved, target-sorted matrix ops
 /// and fuse neighbours. Deterministic; no precision loss (all double).
+/// Dense ops lowered from `unitary` gates with the same matrix object,
+/// adjoint flag and target order share one payload array.
 FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {});
+
+/// The dense planes one program has rounded so far, keyed by the source
+/// matrix's `payload.data()`: every op that shares a source matrix shares
+/// its planes, so a program rounds each distinct matrix once. The keys
+/// stay valid because the IR or plan being specialized owns every source
+/// array for as long as the memo is used.
+template <typename T>
+struct DensePlanes {
+  SharedArray<exec_compute_t<T>> re, im;
+};
+template <typename T>
+using PlaneMemo = std::unordered_map<const std::complex<double>*, DensePlanes<T>>;
 
 /// Pass 3 for one op: round its payload to the *storage* precision T (then
 /// hold it in the compute precision — identity for float/double,
-/// binary16-round-then-widen-to-float for f16) and precompute its
-/// kernel tables. Takes the op's parts rather than a `FusedOp` so the dist
-/// planner can pass a rank's projection of a plan op without copying its
-/// payload.
+/// binary16-round-then-widen-to-float for f16) and precompute its kernel
+/// tables. Dense ops take their planes from `planes`, rounding a matrix
+/// only on its first use; diagonal ops keep the interleaved entries.
 template <typename T>
-CompiledOp<T> specialize_op(OpKind kind, std::span<const std::uint32_t> targets,
-                            std::uint64_t pos_mask, std::uint64_t neg_mask,
-                            std::span<const std::complex<double>> payload) {
+CompiledOp<T> specialize_op(const FusedOp& op, PlaneMemo<T>& planes) {
   using C = exec_compute_t<T>;
   // Model the QPU storing this value at precision T.
   const auto qround = [](double v) { return static_cast<C>(static_cast<T>(v)); };
+  const auto& payload = op.payload;
   CompiledOp<T> c;
-  c.kind = kind;
-  c.pos_mask = pos_mask;
-  c.neg_mask = neg_mask;
-  c.set_mask = pos_mask;
+  c.kind = op.kind;
+  c.pos_mask = op.pos_mask;
+  c.neg_mask = op.neg_mask;
+  c.set_mask = op.pos_mask;
   // Bits the kernel loop must skip: control bits always; target bits for
   // the pairwise/blockwise kinds (a diagonal visits targets in place).
-  std::uint64_t skip = pos_mask | neg_mask;
-  if (kind == OpKind::kApply1q || kind == OpKind::kDense) {
-    for (auto q : targets) skip |= std::uint64_t{1} << q;
+  std::uint64_t skip = op.pos_mask | op.neg_mask;
+  if (op.kind == OpKind::kApply1q || op.kind == OpKind::kDense) {
+    for (auto q : op.targets) skip |= std::uint64_t{1} << q;
   }
   for (std::uint32_t q = 0; q < 64 && (skip >> q) != 0; ++q) {
     if (skip & (std::uint64_t{1} << q)) c.insert_bits.push_back(std::uint64_t{1} << q);
   }
   c.free_shift = static_cast<std::uint32_t>(c.insert_bits.size());
-  switch (kind) {
+  switch (op.kind) {
     case OpKind::kApply1q:
-      c.target_bit = std::uint64_t{1} << targets[0];
+      c.target_bit = std::uint64_t{1} << op.targets[0];
       c.m00 = std::complex<C>(qround(payload[0].real()), qround(payload[0].imag()));
       c.m01 = std::complex<C>(qround(payload[1].real()), qround(payload[1].imag()));
       c.m10 = std::complex<C>(qround(payload[2].real()), qround(payload[2].imag()));
@@ -72,51 +86,56 @@ CompiledOp<T> specialize_op(OpKind kind, std::span<const std::uint32_t> targets,
       break;
     case OpKind::kDense:
     case OpKind::kDiagonal: {
-      c.num_targets = static_cast<std::uint32_t>(targets.size());
-      for (auto q : targets) {
+      c.num_targets = static_cast<std::uint32_t>(op.targets.size());
+      for (auto q : op.targets) {
         const std::uint64_t bit = std::uint64_t{1} << q;
         c.target_bits.push_back(bit);
         c.target_mask |= bit;
       }
-      c.payload.reserve(payload.size());
-      for (const auto& v : payload) {
-        c.payload.emplace_back(qround(v.real()), qround(v.imag()));
+      if (op.kind == OpKind::kDiagonal) {
+        c.payload.reserve(payload.size());
+        for (const auto& v : payload) c.payload.emplace_back(qround(v.real()), qround(v.imag()));
+        break;
       }
-      if (kind == OpKind::kDense) {
-        // Gather offsets: sub-state s lives at base | offsets[s].
-        const std::size_t sub_dim = std::size_t{1} << c.num_targets;
-        c.offsets.resize(sub_dim);
-        for (std::size_t s = 0; s < sub_dim; ++s) {
-          std::uint64_t off = 0;
-          for (std::uint32_t t = 0; t < c.num_targets; ++t) {
-            if (s & (std::size_t{1} << t)) off |= c.target_bits[t];
-          }
-          c.offsets[s] = off;
+      // Gather offsets: sub-state s lives at base | offsets[s].
+      const std::size_t sub_dim = std::size_t{1} << c.num_targets;
+      c.offsets.resize(sub_dim);
+      for (std::size_t s = 0; s < sub_dim; ++s) {
+        std::uint64_t off = 0;
+        for (std::uint32_t t = 0; t < c.num_targets; ++t) {
+          if (s & (std::size_t{1} << t)) off |= c.target_bits[t];
         }
-        c.payload_re.reserve(c.payload.size());
-        c.payload_im.reserve(c.payload.size());
-        for (const auto& v : c.payload) {
-          c.payload_re.push_back(v.real());
-          c.payload_im.push_back(v.imag());
-        }
+        c.offsets[s] = off;
       }
+      const auto [it, fresh] = planes.try_emplace(payload.data());
+      if (fresh) {
+        std::vector<C> re, im;
+        re.reserve(payload.size());
+        im.reserve(payload.size());
+        for (const auto& v : payload) {
+          re.push_back(qround(v.real()));
+          im.push_back(qround(v.imag()));
+        }
+        it->second = {std::move(re), std::move(im)};
+      }
+      c.payload_re = it->second.re;
+      c.payload_im = it->second.im;
       break;
     }
   }
   return c;
 }
 
-/// Pass 3: `specialize_op` over every op of `ir`.
+/// Pass 3: `specialize_op` over every op of `ir`, with one plane memo for
+/// the whole program.
 template <typename T>
 Program<T> specialize(const FusedIr& ir) {
   Program<T> program;
   program.num_qubits = ir.num_qubits;
   program.stats = ir.stats;
   program.ops.reserve(ir.ops.size());
-  for (const auto& op : ir.ops) {
-    program.ops.push_back(
-        specialize_op<T>(op.kind, op.targets, op.pos_mask, op.neg_mask, op.payload));
-  }
+  PlaneMemo<T> planes;
+  for (const auto& op : ir.ops) program.ops.push_back(specialize_op<T>(op, planes));
   return program;
 }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <complex>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -120,7 +119,7 @@ std::optional<FusedOp> conjugate_by_x(const FusedOp& d, const FusedOp& x) {
   out.kind = OpKind::kDiagonal;
   out.targets = qubits;
   out.source_gates = d.source_gates;
-  out.payload.resize(dim);
+  std::vector<c64> entries(dim);
   for (std::size_t s = 0; s < dim; ++s) {
     std::uint64_t pattern = 0;
     for (std::size_t i = 0; i < qubits.size(); ++i) {
@@ -131,19 +130,20 @@ std::optional<FusedOp> conjugate_by_x(const FusedOp& d, const FusedOp& x) {
     const std::uint64_t h = x_fires ? (pattern ^ bit_of(x_target)) : pattern;
     const bool d_fires = (h & d.pos_mask) == d.pos_mask && (h & d.neg_mask) == 0;
     if (!d_fires) {
-      out.payload[s] = c64{1.0};
+      entries[s] = c64{1.0};
       continue;
     }
     if (d.kind == OpKind::kApply1q) {
-      out.payload[s] = (h & bit_of(d.targets[0])) ? d.payload[3] : d.payload[0];
+      entries[s] = (h & bit_of(d.targets[0])) ? d.payload[3] : d.payload[0];
     } else {
       std::size_t sub = 0;
       for (std::size_t t = 0; t < tpos.size(); ++t) {
         if (h & bit_of(qubits[tpos[t]])) sub |= std::size_t{1} << t;
       }
-      out.payload[s] = d.payload[sub];
+      entries[s] = d.payload[sub];
     }
   }
+  out.payload = std::move(entries);
   return out;
 }
 
@@ -268,6 +268,9 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
 
   RankStep<T> step;
   step.local.num_qubits = m;
+  // One memo for every step: a rank's dense ops share their source
+  // matrices' planes, which the plan owns for the whole call.
+  PlaneMemo<T> planes;
 
   for (const auto& p : plan.ops) {
     const FusedOp& op = p.op;
@@ -275,9 +278,9 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
       if (!high_masks_fire(op.pos_mask, op.neg_mask, rank_pattern, high_mask)) {
         continue;  // shard never fires
       }
-      std::span<const std::uint32_t> targets = op.targets;
-      std::span<const c64> payload = op.payload;
-      std::vector<c64> sliced;
+      FusedOp local = op;
+      local.pos_mask &= low_mask;
+      local.neg_mask &= low_mask;
       if (op.kind == OpKind::kDiagonal) {
         // Slice the payload down to the entries this rank's partition
         // bits select. Targets are ascending, so the low targets are a
@@ -292,26 +295,24 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
             const std::uint32_t q = op.targets[n_low + j];
             if ((rank >> (q - m)) & 1u) fixed |= std::uint64_t{1} << j;
           }
-          sliced.resize(std::size_t{1} << n_low);
+          std::vector<c64> sliced(std::size_t{1} << n_low);
           for (std::size_t s = 0; s < sliced.size(); ++s) {
             sliced[s] = op.payload[s | (fixed << n_low)];
           }
-          targets = targets.first(n_low);
+          local.targets.resize(n_low);
           if (n_low == 0) {
             // Every owned amplitude gets the same multiplier. Stay in the
             // diagonal kernel (dummy low target, identical entries) rather
             // than switching to the global-phase kernel: the multiply must
             // go through the same kernel expression as single-node replay
             // or FMA contraction can differ in the last ulp.
-            static constexpr std::uint32_t kQubit0[] = {0};
-            targets = kQubit0;
+            local.targets = {0};
             sliced.push_back(sliced[0]);
           }
-          payload = sliced;
+          local.payload = std::move(sliced);
         }
       }
-      step.local.ops.push_back(specialize_op<T>(op.kind, targets, op.pos_mask & low_mask,
-                                                op.neg_mask & low_mask, payload));
+      step.local.ops.push_back(specialize_op<T>(local, planes));
       ++step.local.stats.ops;
       continue;
     }
@@ -326,11 +327,13 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
     std::uint64_t target_high = 0;
     for (auto q : p.high_targets) target_high |= bit_of(q);
     // Targets are never mask bits; belt and braces.
-    const std::uint64_t pos_mask = op.pos_mask & ~target_high;
-    const std::uint64_t neg_mask = op.neg_mask & ~target_high;
-    step.fires = high_masks_fire(pos_mask, neg_mask, rank_pattern, high_mask);
-    std::vector<std::uint32_t> wide_targets = op.targets;
-    for (auto& q : wide_targets) {
+    FusedOp wide = op;
+    wide.pos_mask = op.pos_mask & ~target_high;
+    wide.neg_mask = op.neg_mask & ~target_high;
+    step.fires = high_masks_fire(wide.pos_mask, wide.neg_mask, rank_pattern, high_mask);
+    wide.pos_mask &= low_mask;
+    wide.neg_mask &= low_mask;
+    for (auto& q : wide.targets) {
       if (q >= m) {
         // The j-th high target lands on wide qubit m+j; ascending order
         // (and with it the payload's index convention) is preserved.
@@ -340,8 +343,7 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
     }
     step.wide.num_qubits = m + h;
     step.wide.stats.ops = 1;
-    step.wide.ops.push_back(specialize_op<T>(op.kind, wide_targets, pos_mask & low_mask,
-                                             neg_mask & low_mask, op.payload));
+    step.wide.ops.push_back(specialize_op<T>(wide, planes));
     rp.steps.push_back(std::move(step));
     step = RankStep<T>{};
     step.local.num_qubits = m;

@@ -86,7 +86,8 @@ struct PlanOptions {
   bool schedule = true;
 };
 
-/// One scheduled step, in full-register coordinates.
+/// One scheduled step, in full-register coordinates. `op` shares its
+/// payload with the IR op it came from unless a pass rewrote it.
 struct PlanOp {
   bool exchange = false;
   /// Exchange ops: the partition-qubit targets, ascending.
@@ -137,7 +138,9 @@ struct RankProgram {
 /// the entries the rank's partition bits select, exchange targets move to
 /// the wide qubits m..m+h-1) and goes straight through `specialize_op`,
 /// the pass single-node programs use, so op payloads round identically.
-/// Instantiated for float and double, the tiers a shard group runs.
+/// Plan ops share their source ops' matrices, and a rank program's dense
+/// ops share one rounding of each. Instantiated for float and double, the
+/// tiers a shard group runs.
 template <typename T>
 RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank);
 

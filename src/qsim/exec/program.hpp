@@ -12,10 +12,18 @@
 //    (double-precision matrices, sorted targets, controls as masks).
 //  * `Program<T>` — the `FusedIr` specialized to a statevector precision,
 //    with per-op kernels selected and index tables precomputed.
+//
+// Matrices are immutable `SharedArray`s: every op that applies the same
+// block encoding refers to one array, and copying an op, an IR, a plan or
+// a program copies no entries.
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/half.hpp"
@@ -50,6 +58,28 @@ struct ExecTraits<f16> {
 template <typename T>
 using exec_compute_t = typename ExecTraits<T>::compute;
 
+/// A read-only array shared by reference: copies share one immutable
+/// buffer, which lives as long as its last holder. Default-constructed it
+/// is empty, with a null data().
+template <typename E>
+class SharedArray {
+ public:
+  SharedArray() = default;
+  SharedArray(std::vector<E> values)  // NOLINT(google-explicit-constructor)
+      : values_(std::make_shared<const std::vector<E>>(std::move(values))) {}
+  SharedArray(std::initializer_list<E> values) : SharedArray(std::vector<E>(values)) {}
+
+  const E* data() const { return values_ ? values_->data() : nullptr; }
+  std::size_t size() const { return values_ ? values_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const E& operator[](std::size_t i) const { return (*values_)[i]; }
+  const E* begin() const { return data(); }
+  const E* end() const { return data() + size(); }
+
+ private:
+  std::shared_ptr<const std::vector<E>> values_;
+};
+
 enum class OpKind : std::uint8_t {
   kApply1q,      ///< 2x2 matrix on one target qubit
   kDense,        ///< dense 2^k x 2^k matrix on k sorted targets
@@ -66,8 +96,10 @@ struct FusedOp {
   std::uint64_t neg_mask = 0;  ///< fire when all these bits are 0
   std::vector<std::uint32_t> targets;  ///< sorted ascending
   /// kApply1q: 4 row-major entries; kDense: 2^k * 2^k row-major;
-  /// kDiagonal: 2^k entries; kGlobalPhase: 1 entry (the scalar).
-  std::vector<std::complex<double>> payload;
+  /// kDiagonal: 2^k entries; kGlobalPhase: 1 entry (the scalar). Every
+  /// dense op lowered from one `unitary` gate (same matrix, adjoint flag
+  /// and target order) shares one array.
+  SharedArray<std::complex<double>> payload;
   std::uint64_t source_gates = 1;
 };
 
@@ -86,7 +118,7 @@ struct FusedIr {
   ProgramStats stats;
 };
 
-/// One executable op in precision T. The payload layout mirrors FusedOp;
+/// One executable op in precision T. Payload indexing mirrors FusedOp;
 /// everything the kernel needs per amplitude-block is precomputed here.
 /// Controls are compiled away entirely: `insert_bits`/`set_mask` let the
 /// kernels enumerate exactly the amplitudes an op touches (positive
@@ -120,11 +152,12 @@ struct CompiledOp {
   std::uint32_t num_targets = 0;
   std::uint64_t target_mask = 0;
   std::vector<std::uint64_t> target_bits;  ///< sorted single-bit masks
-  std::vector<std::complex<C>> payload;    ///< dense matrix or diagonal
-  /// kDense: the matrix split into real/imaginary planes (row-major, same
-  /// indexing as payload) so the matmul inner loop vectorizes — the
-  /// interleaved complex layout defeats SIMD.
-  std::vector<C> payload_re, payload_im;
+  std::vector<std::complex<C>> payload;    ///< kDiagonal: the 2^k entries
+  /// kDense: the row-major matrix split into real/imaginary planes, the
+  /// only form the dense kernels read (the interleaved complex layout
+  /// defeats SIMD). Ops whose source ops share a matrix share its planes:
+  /// a program rounds each distinct matrix once.
+  SharedArray<C> payload_re, payload_im;
   std::vector<std::uint64_t> offsets;      ///< dense: 2^k gather offsets
 
   // kGlobalPhase

@@ -98,22 +98,14 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
     // circuit itself this is a one-off synthesis cost amortized across
     // every right-hand side served from this context; the per-tier
     // Program<T> specializations hang off the shared IR and materialize
-    // lazily, so the adaptive loop hops precisions without recompiling.
+    // lazily, on the first replay of their tier, for every precision: a
+    // context holds only the tiers it has run, and the adaptive loop hops
+    // precisions without recompiling.
     {
       Timer timer;
       auto ir = qsim::exec::lower_and_fuse(ctx.circuit->circuit);
       ir.stats.compile_seconds = timer.seconds();
       ctx.programs = std::make_shared<qsim::exec::ProgramSet>(std::move(ir));
-    }
-    // Fixed-precision contexts specialize their one tier eagerly so the
-    // cost lands in prepare (where the old per-precision compile lived);
-    // adaptive contexts leave both tiers lazy.
-    if (options.precision != QpuPrecision::kAdaptive) {
-      if (resolve_tier(ctx) == QpuPrecision::kSingle) {
-        ctx.programs->get<float>();
-      } else {
-        ctx.programs->get<double>();
-      }
     }
     // The KP-tree preparation emits the same gate structure for every
     // vector of this length (only the angles differ), so its gate count is
@@ -133,14 +125,18 @@ std::shared_ptr<const QsvtSolverContext> prepare_qsvt_solver_shared(linalg::Matr
       prepare_qsvt_solver(std::move(A), std::move(options)));
 }
 
-QpuPrecision resolve_tier(const QsvtSolverContext& ctx, std::optional<QpuPrecision> tier) {
-  switch (tier.value_or(ctx.options.precision)) {
+QpuPrecision resolve_tier(QpuPrecision precision) {
+  switch (precision) {
     case QpuPrecision::kSingle:
     case QpuPrecision::kHalf:
       return QpuPrecision::kSingle;
     default:
       return QpuPrecision::kDouble;
   }
+}
+
+QpuPrecision resolve_tier(const QsvtSolverContext& ctx, std::optional<QpuPrecision> tier) {
+  return resolve_tier(tier.value_or(ctx.options.precision));
 }
 
 namespace {

@@ -146,11 +146,14 @@ struct QsvtSolveOutcome {
 QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
                                       const linalg::Vector<double>& rhs);
 
-/// The tier a solve call runs at: `tier` if given, else the context's
-/// configured precision. The one place requested precisions are
+/// The tier a precision runs at. The one place requested precisions are
 /// normalized: kAdaptive (a schedule, not a tier) resolves to its most
 /// accurate member kDouble, and the retired kHalf resolves to kSingle.
 /// Returns kSingle or kDouble only.
+QpuPrecision resolve_tier(QpuPrecision precision);
+
+/// The tier a solve call runs at: `tier` if given, else the context's
+/// configured precision, resolved as above.
 QpuPrecision resolve_tier(const QsvtSolverContext& ctx,
                           std::optional<QpuPrecision> tier = std::nullopt);
 

@@ -18,7 +18,13 @@ std::uint64_t hash_matrix(const linalg::Matrix<double>& A) {
 std::uint64_t hash_options(const qsvt::QsvtOptions& options) {
   Fnv1a h;
   h.u64(static_cast<std::uint64_t>(options.backend));
-  h.u64(static_cast<std::uint64_t>(options.precision));
+  // A fixed precision keys on the tier it runs, so "half" and "single"
+  // share one context; adaptive keys apart from double, because the
+  // context's precision selects the refinement schedule.
+  const qsvt::QpuPrecision precision = options.precision == qsvt::QpuPrecision::kAdaptive
+                                           ? options.precision
+                                           : qsvt::resolve_tier(options.precision);
+  h.u64(static_cast<std::uint64_t>(precision));
   h.u64(static_cast<std::uint64_t>(options.poly_method));
   h.u64(static_cast<std::uint64_t>(options.encoding));
   h.f64(options.eps_l);

@@ -2,7 +2,9 @@
 // matrix entries plus a hash of every QsvtOptions field that influences
 // preparation. Two requests share a cached context exactly when both
 // hashes agree — differing eps_l, backend, encoding, shots or noise all
-// fingerprint differently.
+// fingerprint differently. A fixed precision hashes as the tier it runs
+// (qsvt::resolve_tier), so "half" and "single" share a context; adaptive
+// hashes apart from every fixed precision.
 #pragma once
 
 #include <cstdint>

@@ -20,6 +20,26 @@ constexpr std::size_t kMaxPayloadString = 65536;  ///< comm-event payload names
 // entries follow the same count.
 constexpr std::size_t kMaxPerSolveEntries =
     static_cast<std::size_t>(service::kMaxIterations) + 2;
+// The fewest bytes one list entry can take on the wire, so a declared
+// count is checked against the bytes left before any list is reserved:
+// a right-hand side is a u64 count and at least one f64; a telemetry
+// entry is four 8-byte fields; a solve entry is its f64 seconds plus a
+// report with empty arrays and lists (two u64 array counts, 12 8-byte
+// scalars and a u8, two 3-slot tier arrays, the switch count, a u8 and
+// an f64, and two u32 list counts).
+constexpr std::size_t kMinRhsBytes = 8 + 8;
+constexpr std::size_t kMinTelemetryBytes = 4 * 8;
+constexpr std::size_t kMinSolveBytes = 8 + (2 * 8 + 12 * 8 + 1 + 6 * 8 + 8 + 1 + 8 + 2 * 4);
+
+/// Read a u32 list count and refuse it when it exceeds `cap` or when the
+/// bytes left cannot hold that many entries of `min_entry_bytes` each.
+std::uint32_t read_count(WireReader& r, std::size_t cap, std::size_t min_entry_bytes,
+                         const char* what) {
+  const std::size_t at = r.offset();
+  const std::uint32_t count = r.u32();
+  if (count > cap || count > r.remaining() / min_entry_bytes) throw WireError(what, at);
+  return count;
+}
 
 std::uint8_t checked_enum(WireReader& r, std::uint8_t max, const char* what) {
   const std::size_t at = r.offset();
@@ -221,9 +241,8 @@ solver::QsvtIrReport read_report(WireReader& r) {
   rep.precision_switches = r.u64();
   rep.dd128_verified = r.u8() != 0;
   rep.dd128_final_residual = r.f64();
-  const std::size_t at = r.offset();
-  const std::uint32_t telemetry = r.u32();
-  if (telemetry > kMaxPerSolveEntries) throw WireError("telemetry count over cap", at);
+  const std::uint32_t telemetry =
+      read_count(r, kMaxPerSolveEntries, kMinTelemetryBytes, "telemetry count out of range");
   rep.solves.reserve(telemetry);
   for (std::uint32_t i = 0; i < telemetry; ++i) {
     solver::SolveTelemetry s;
@@ -303,9 +322,9 @@ service::SolveRequest decode_request(std::string_view frame,
   req.options = read_options(r);
 
   const std::size_t at = r.offset();
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count =
+      read_count(r, kMaxRhsCount, kMinRhsBytes, "right-hand side count out of range");
   if (count < 1) throw WireError("request needs at least one rhs", at);
-  if (count > kMaxRhsCount) throw WireError("too many right-hand sides", at);
   // Resolved requests check RHS length against the matrix; unresolved
   // by-ref ones can only check mutual consistency here — the final check
   // against the store entry runs at solve time.
@@ -396,9 +415,8 @@ service::SolveResult decode_result(std::string_view frame) {
   result.total_seconds = r.f64();
   result.panels_executed = r.u64();
   result.panel_lanes = r.u64();
-  const std::size_t at = r.offset();
-  const std::uint32_t count = r.u32();
-  if (count > kMaxRhsCount) throw WireError("too many solve entries", at);
+  const std::uint32_t count =
+      read_count(r, kMaxRhsCount, kMinSolveBytes, "solve entry count out of range");
   result.solves.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     service::RhsResult s;

@@ -7,16 +7,20 @@
 // QSVT-shaped stream whose closing H fuses into a dense op with two
 // partition-qubit targets. Also the shard-panel reductions, the lane cap
 // that keeps exchange frames under the HTTP body cap, and the group's
-// agreement on that cap when ranks run with different ones.
+// agreement on that cap when ranks run with different ones. Rank programs
+// share their dense planes, and programs copied out of a ProgramSet
+// outlive it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <exception>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
@@ -25,6 +29,7 @@
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
+#include "qsim/exec/program_set.hpp"
 
 namespace {
 
@@ -173,9 +178,10 @@ std::vector<StatePanel<T>> shard_panels(const Lanes& init, std::uint32_t m,
   return shards;
 }
 
-/// Replay `plan` on every shard, one thread per rank over a LocalPeerGroup.
+/// Replay rank r's program on shard r, one thread per rank over a
+/// LocalPeerGroup.
 template <typename T>
-std::vector<dist::DistRunMetrics> run_shards(const dist::ExchangePlan& plan,
+std::vector<dist::DistRunMetrics> run_shards(const std::vector<dist::RankProgram<T>>& programs,
                                              std::vector<StatePanel<T>>& shards) {
   const auto world = static_cast<std::uint32_t>(shards.size());
   dist::LocalPeerGroup group(world);
@@ -185,10 +191,9 @@ std::vector<dist::DistRunMetrics> run_shards(const dist::ExchangePlan& plan,
   for (std::uint32_t r = 0; r < world; ++r) {
     threads.emplace_back([&, r] {
       try {
-        const auto rp = dist::specialize_rank<T>(plan, r);
         auto channel = group.channel(r);
         std::uint64_t seq = 0;
-        dist::run_rank_program<T>(rp, shards[r], *channel, seq, &metrics[r]);
+        dist::run_rank_program<T>(programs[r], shards[r], *channel, seq, &metrics[r]);
       } catch (...) {
         errors[r] = std::current_exception();
       }
@@ -199,6 +204,17 @@ std::vector<dist::DistRunMetrics> run_shards(const dist::ExchangePlan& plan,
     if (errors[r]) std::rethrow_exception(errors[r]);
   }
   return metrics;
+}
+
+/// Replay `plan` on every shard.
+template <typename T>
+std::vector<dist::DistRunMetrics> run_shards(const dist::ExchangePlan& plan,
+                                             std::vector<StatePanel<T>>& shards) {
+  std::vector<dist::RankProgram<T>> programs;
+  for (std::uint32_t r = 0; r < shards.size(); ++r) {
+    programs.push_back(dist::specialize_rank<T>(plan, r));
+  }
+  return run_shards(programs, shards);
 }
 
 // Replay `ir` on W shard panels and on one B-lane StatePanel, from the
@@ -329,6 +345,103 @@ TEST(DistExec, QsvtShapedReplayMatchesPanelExactly) {
     expect_dist_matches_panel<double>(ir, 2, init, 1e-13);
     expect_dist_matches_panel<float>(ir, 2, init, 1e-5);
   }
+}
+
+/// Every lane of every global amplitude of the shards equals the panel's,
+/// bit for bit.
+template <typename T>
+void expect_shards_equal_panel(const std::vector<StatePanel<T>>& shards,
+                               const StatePanel<T>& panel, std::uint32_t m) {
+  for (std::uint64_t g = 0; g < panel.dim(); ++g) {
+    for (std::size_t l = 0; l < panel.lanes(); ++l) {
+      const auto got = shards[g >> m].amp(g & ((std::uint64_t{1} << m) - 1), l);
+      EXPECT_EQ(got.real(), panel.amp(g, l).real()) << "amp " << g << " lane " << l;
+      EXPECT_EQ(got.imag(), panel.amp(g, l).imag()) << "amp " << g << " lane " << l;
+    }
+  }
+}
+
+TEST(DistExec, RankProgramsShareTheirDensePlanes) {
+  // U, U-dagger, ... six times on 4 of 5 qubits, one of them the
+  // partition qubit at W=2, so every application is an exchange op. The
+  // plan keeps the IR's two matrices, and each rank program rounds each
+  // once.
+  Xoshiro256 rng(24);
+  const auto u = test::random_unitary(rng, 16);
+  const auto c = test::alternating_unitary(5, {4, 0, 2, 1}, u, 3, 6, true);
+  const auto ir = lower_and_fuse(c);
+  const auto plan = dist::build_exchange_plan(ir, 1);
+  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &FusedOp::payload).size(), 2u);
+  std::set<const void*> plan_arrays;
+  for (const auto& p : plan.ops) {
+    if (p.op.kind == OpKind::kDense) plan_arrays.insert(p.op.payload.data());
+  }
+  EXPECT_EQ(plan_arrays, test::distinct_dense_arrays(ir.ops, &FusedOp::payload));
+
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const auto rp = dist::specialize_rank<float>(plan, r);
+    std::set<const void*> re, im;
+    std::size_t dense = 0;
+    for (const auto& step : rp.steps) {
+      for (const auto* program : {&step.local, &step.wide}) {
+        for (const auto& op : program->ops) {
+          if (op.kind != OpKind::kDense) continue;
+          ++dense;
+          re.insert(op.payload_re.data());
+          im.insert(op.payload_im.data());
+          EXPECT_TRUE(op.payload.empty());
+        }
+      }
+    }
+    EXPECT_EQ(dense, 6u) << "rank " << r;
+    EXPECT_EQ(re.size(), 2u) << "rank " << r;
+    EXPECT_EQ(im.size(), 2u) << "rank " << r;
+  }
+  for (const std::size_t lanes : kLaneCounts) {
+    const auto init = random_lanes(rng, 5, lanes);
+    expect_dist_matches_panel<double>(ir, 1, init);
+    expect_dist_matches_panel<float>(ir, 1, init);
+  }
+}
+
+TEST(DistExec, ProgramsCopiedOutOfAProgramSetOutliveIt) {
+  // A program copied out of its ProgramSet holds the set's matrices by
+  // reference. Once the set, its IR and its plans are gone, the copies
+  // must still replay bitwise as they did while it lived (under ASan a
+  // dangling matrix reference is a use-after-free).
+  Xoshiro256 rng(25);
+  const auto u = test::random_unitary(rng, 16);
+  auto set = std::make_unique<ProgramSet>(
+      lower_and_fuse(test::alternating_unitary(5, {4, 0, 2, 1}, u, 3, 6, true)));
+  const Program<double> program = set->get<double>();
+  const std::vector<dist::RankProgram<double>> ranks = {set->rank_program<double>(1, 0),
+                                                        set->rank_program<double>(1, 1)};
+  const auto init = random_lanes(rng, 5, 3);
+  const auto replay = [&](const Program<double>& p) {
+    StatePanel<double> panel(5, init.size());
+    for (std::size_t i = 0; i < panel.dim(); ++i) {
+      for (std::size_t l = 0; l < init.size(); ++l) panel.set_amp(i, l, init[l][i]);
+    }
+    PanelExecutor<double>().run(p, panel);
+    return panel;
+  };
+  const StatePanel<double> want = replay(set->get<double>());
+  auto want_shards = shard_panels<double>(init, 4, 2);
+  run_shards<double>({set->rank_program<double>(1, 0), set->rank_program<double>(1, 1)},
+                     want_shards);
+  expect_shards_equal_panel(want_shards, want, 4);
+
+  set.reset();
+  const StatePanel<double> got = replay(program);
+  for (std::size_t i = 0; i < want.dim(); ++i) {
+    for (std::size_t l = 0; l < init.size(); ++l) {
+      EXPECT_EQ(got.amp(i, l).real(), want.amp(i, l).real());
+      EXPECT_EQ(got.amp(i, l).imag(), want.amp(i, l).imag());
+    }
+  }
+  auto shards = shard_panels<double>(init, 4, 2);
+  run_shards(ranks, shards);
+  expect_shards_equal_panel(shards, want, 4);
 }
 
 TEST(DistExec, NaiveScheduleReplaysCorrectlyToo) {

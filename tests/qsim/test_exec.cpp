@@ -2,7 +2,9 @@
 // (controls, negative controls, adjoints, diagonal and dense multi-qubit
 // payloads, global phases, swaps) compiled and replayed on a one-lane
 // panel must agree with gate-by-gate interpretation within precision
-// tolerance, in both float and double.
+// tolerance, in both float and double. Also: every application of one
+// unitary gate shares one matrix from lowering through each tier's
+// program, bitwise like unshared copies.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +15,8 @@
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
+#include "qsim/exec/panel.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 
 namespace {
@@ -122,6 +126,74 @@ TEST(Exec, CompileStampsTelemetry) {
   EXPECT_LT(program.stats.ops, 30u);  // fusion must actually fuse here
   EXPECT_GE(program.stats.compile_seconds, 0.0);
   EXPECT_GT(program.stats.depth, 0u);
+}
+
+/// Replay `program` on a two-lane panel of fixed random states.
+template <typename T>
+qsim::exec::StatePanel<T> replay_two_lanes(const qsim::exec::Program<T>& program) {
+  Xoshiro256 rng(7);
+  qsim::exec::StatePanel<T> panel(program.num_qubits, 2);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const auto amps = test::random_state(rng, program.num_qubits);
+    for (std::size_t i = 0; i < amps.size(); ++i) panel.set_amp(i, l, amps[i]);
+  }
+  qsim::exec::PanelExecutor<T>().run(program, panel);
+  return panel;
+}
+
+template <typename T>
+void expect_bitwise_equal(const qsim::exec::StatePanel<T>& got,
+                          const qsim::exec::StatePanel<T>& want) {
+  for (std::size_t i = 0; i < want.dim(); ++i) {
+    for (std::size_t l = 0; l < 2; ++l) {
+      EXPECT_EQ(got.amp(i, l).real(), want.amp(i, l).real()) << "amp " << i << " lane " << l;
+      EXPECT_EQ(got.amp(i, l).imag(), want.amp(i, l).imag()) << "amp " << i << " lane " << l;
+    }
+  }
+}
+
+template <typename T>
+void expect_one_plane_pair_per_matrix(const qsim::exec::Program<T>& program) {
+  using Op = qsim::exec::CompiledOp<T>;
+  EXPECT_EQ(test::distinct_dense_arrays(program.ops, &Op::payload_re).size(), 2u);
+  EXPECT_EQ(test::distinct_dense_arrays(program.ops, &Op::payload_im).size(), 2u);
+  for (const auto& op : program.ops) {
+    if (op.kind == qsim::exec::OpKind::kDense) {
+      EXPECT_TRUE(op.payload.empty());
+    }
+  }
+}
+
+TEST(Exec, RepeatedUnitarySharesOneMatrixThroughEveryTier) {
+  // U, U-dagger, U, ... six times on 4 of 5 qubits (wider than the fusion
+  // window, so each application lowers to its own dense op). Lowering
+  // interns the two (matrix, adjoint, targets) keys; each tier rounds
+  // each of them once and keeps only the split planes.
+  Xoshiro256 rng(48);
+  const auto u = test::random_unitary(rng, 16);
+  const std::vector<std::uint32_t> targets = {3, 0, 4, 1};  // unsorted: remapped once
+  const auto shared = test::alternating_unitary(5, targets, u, 2, 6, true);
+  const auto separate = test::alternating_unitary(5, targets, u, 2, 6, false);
+
+  const auto ir = qsim::exec::lower_and_fuse(shared);
+  const auto ir_separate = qsim::exec::lower_and_fuse(separate);
+  std::size_t dense = 0;
+  for (const auto& op : ir.ops) dense += op.kind == qsim::exec::OpKind::kDense;
+  EXPECT_EQ(dense, 6u);
+  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &qsim::exec::FusedOp::payload).size(), 2u);
+  EXPECT_EQ(test::distinct_dense_arrays(ir_separate.ops, &qsim::exec::FusedOp::payload).size(),
+            6u);
+
+  const auto f32 = qsim::exec::specialize<float>(ir);
+  const auto f64 = qsim::exec::specialize<double>(ir);
+  expect_one_plane_pair_per_matrix(f32);
+  expect_one_plane_pair_per_matrix(f64);
+
+  // Sharing changes no value: the replay is bitwise the unshared one.
+  expect_bitwise_equal(replay_two_lanes(f32),
+                       replay_two_lanes(qsim::exec::specialize<float>(ir_separate)));
+  expect_bitwise_equal(replay_two_lanes(f64),
+                       replay_two_lanes(qsim::exec::specialize<double>(ir_separate)));
 }
 
 TEST(Exec, ControlledGlobalPhaseLowering) {

@@ -1,5 +1,6 @@
 // The cache key must separate everything preparation depends on: matrix
-// content and every QsvtOptions field. A collision between requests that
+// content and every QsvtOptions field (a fixed precision by the tier it
+// runs). A collision between requests that
 // differ in any of those would silently serve a context prepared for the
 // wrong accuracy/backend.
 #include "service/fingerprint.hpp"
@@ -89,6 +90,24 @@ TEST(Fingerprint, EveryOptionFieldSeparates) {
   o = base;
   o.qsp_options.tolerance = 1e-9;
   EXPECT_TRUE(differs(o));
+}
+
+TEST(Fingerprint, FixedPrecisionsKeyOnTheTierTheyRun) {
+  // The retired half tier runs single, so both prepare the same context;
+  // adaptive runs a schedule, so it keys apart from double, the tier it
+  // resolves to.
+  qsvt::QsvtOptions single;
+  single.precision = qsvt::QpuPrecision::kSingle;
+  auto half = single;
+  half.precision = qsvt::QpuPrecision::kHalf;
+  auto dbl = single;
+  dbl.precision = qsvt::QpuPrecision::kDouble;
+  auto adaptive = single;
+  adaptive.precision = qsvt::QpuPrecision::kAdaptive;
+  EXPECT_EQ(hash_options(half), hash_options(single));
+  EXPECT_NE(hash_options(single), hash_options(dbl));
+  EXPECT_NE(hash_options(adaptive), hash_options(dbl));
+  EXPECT_NE(hash_options(adaptive), hash_options(single));
 }
 
 TEST(Fingerprint, NegativeZeroMatchesPositiveZero) {

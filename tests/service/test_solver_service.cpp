@@ -325,6 +325,36 @@ TEST(SolverService, HalfPrecisionJobsRunTheSingleTier) {
   }
 }
 
+TEST(SolverService, HalfJobSharesTheSingleJobsContext) {
+  // "half" runs the single tier, so it keys on the same cached context as
+  // a single job on that matrix: the second job prepares nothing. Each
+  // job still solves at the tier its own precision resolves to.
+  auto single = make_request("single-first", 16, 2, 604);
+  single.options.qsvt.precision = qsvt::QpuPrecision::kSingle;
+  auto half = single;
+  half.id = "half-second";
+  half.options.qsvt.precision = qsvt::QpuPrecision::kHalf;
+
+  SolverService service({.cache_capacity = 4, .solve_threads = 2, .job_threads = 1,
+                         .panel_width = 4});
+  const auto first = service.solve(single);
+  const auto second = service.solve(half);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.fp, first.fp);
+  for (const auto* result : {&first, &second}) {
+    EXPECT_TRUE(result->all_converged);
+    for (const auto& s : result->solves) {
+      EXPECT_EQ(s.report.tier_solves[solver::kTierSingle], s.report.solves.size());
+      EXPECT_EQ(s.report.tier_solves[solver::kTierDouble], 0u);
+    }
+  }
+  ASSERT_EQ(second.solves.size(), first.solves.size());
+  for (std::size_t k = 0; k < first.solves.size(); ++k) {
+    EXPECT_EQ(second.solves[k].report.x, first.solves[k].report.x);
+  }
+}
+
 TEST(SolverService, RejectsEmptyRequest) {
   SolverService service({.cache_capacity = 2, .solve_threads = 1, .job_threads = 1});
   SolveRequest req;

@@ -376,9 +376,9 @@ TEST(QsvtIrAdaptive, ContextSpecializesLazilyAndOnce) {
 }
 
 TEST(QsvtIrAdaptive, HalfRequestRunsTheSingleTier) {
-  // The retired half tier resolves to single in one place: the context
-  // specializes only the float program, and the solve is bitwise the
-  // single-precision solve with every replay on single.
+  // The retired half tier resolves to single in one place: preparing
+  // specializes nothing, the solve builds only the float program, and it
+  // is bitwise the single-precision solve with every replay on single.
   Xoshiro256 rng(65);
   const auto A = linalg::random_with_cond(rng, 16, 10.0);
   const auto b = linalg::random_unit_vector(rng, 16);
@@ -386,10 +386,10 @@ TEST(QsvtIrAdaptive, HalfRequestRunsTheSingleTier) {
   options.qsvt.precision = qsvt::QpuPrecision::kHalf;
   const auto half_ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
   EXPECT_EQ(qsvt::resolve_tier(half_ctx), qsvt::QpuPrecision::kSingle);
-  EXPECT_EQ(half_ctx.programs->specializations(), 1u);
-  half_ctx.programs->get<float>();
-  EXPECT_EQ(half_ctx.programs->specializations(), 1u);  // the eager one was float
+  EXPECT_EQ(half_ctx.programs->specializations(), 0u);
   const auto half = solve_qsvt_ir(half_ctx, b, options);
+  EXPECT_EQ(half_ctx.programs->specializations(), 1u);
+  half_ctx.programs->get<float>();  // the one it built was float
 
   options.qsvt.precision = qsvt::QpuPrecision::kSingle;
   const auto single = solve_qsvt_ir(A, b, options);

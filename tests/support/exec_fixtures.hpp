@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -140,6 +141,43 @@ inline std::vector<std::complex<double>> random_state(Xoshiro256& rng, std::uint
   nrm = std::sqrt(nrm);
   for (auto& a : amps) a /= nrm;
   return amps;
+}
+
+/// `rounds` applications of the dense unitary `u` on `targets`,
+/// alternating with its adjoint, with an rz on `spare` between them — the
+/// way the QSVT circuit applies its block encoding. With `shared` every
+/// application refers to one matrix object (a circuit and its dagger,
+/// appended in turn); otherwise each is its own unitary() call with equal
+/// entries, and no two share anything.
+inline qsim::Circuit alternating_unitary(std::uint32_t n, const std::vector<std::uint32_t>& targets,
+                                         const linalg::Matrix<c64>& u, std::uint32_t spare,
+                                         int rounds, bool shared) {
+  qsim::Circuit one(n);
+  one.unitary(targets, u);
+  const qsim::Circuit one_dag = one.dagger();
+  qsim::Circuit c(n);
+  for (int k = 0; k < rounds; ++k) {
+    if (shared) {
+      c.append(k % 2 == 0 ? one : one_dag);
+    } else {
+      qsim::Circuit own(n);
+      own.unitary(targets, u);
+      c.append(k % 2 == 0 ? own : own.dagger());
+    }
+    c.rz(spare, 0.25 * (k + 1));
+  }
+  return c;
+}
+
+/// The distinct `data()` pointers of one array member over the dense ops
+/// of an IR or program.
+template <typename Ops, typename Member>
+std::set<const void*> distinct_dense_arrays(const Ops& ops, Member member) {
+  std::set<const void*> out;
+  for (const auto& op : ops) {
+    if (op.kind == qsim::exec::OpKind::kDense) out.insert((op.*member).data());
+  }
+  return out;
 }
 
 /// Replay `program` on a one-lane panel holding `sv`'s amplitudes and

@@ -67,16 +67,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace mpqls::wire {
 namespace {
 
-/// The largest buffer a decoder may size from a declared count before the
-/// bytes behind it are read: a report's telemetry list (kMaxIterations + 2
-/// entries) or a result's solve list (kMaxRhsCount entries). Everything
-/// else must be backed by bytes of the frame itself.
-std::size_t allocation_cap(std::size_t frame_bytes) {
-  const std::size_t telemetry =
-      (static_cast<std::size_t>(service::kMaxIterations) + 2) * sizeof(solver::SolveTelemetry);
-  const std::size_t solves = service::kMaxRhsCount * sizeof(service::RhsResult);
-  return std::max({telemetry, solves, 2 * frame_bytes + 4096});
-}
+/// The largest single buffer any decode may allocate. Every length and
+/// count is checked against the bytes left in the frame before the buffer
+/// it sizes is allocated, so no decode allocates more than a small
+/// multiple of the frame it reads.
+std::size_t allocation_cap(std::size_t frame_bytes) { return 2 * frame_bytes + 4096; }
 
 // --- seed frames -------------------------------------------------------------
 
@@ -379,6 +374,37 @@ TEST(WireFuzz, V3ResultWithHalfTierCountersDecodes) {
     EXPECT_EQ(got.comm.events().size(), want.comm.events().size());
   }
   EXPECT_EQ(encode_result(back), frame);
+}
+
+// --- list counts ---------------------------------------------------------------
+
+TEST(WireFuzz, ResultListCountsAreCheckedAgainstTheFrameFirst) {
+  // A mutant the flip pass once produced: bit 16 flipped in the first
+  // report's telemetry count (3 -> 65539) made a decode of this ~600-byte
+  // frame reserve 65539 entries (2,097,248 bytes) before reading any.
+  const std::string frame = encode_result(sample_result());
+  std::string mutant = frame;
+  const std::size_t entries = mutant.find(f64_bytes(0.5) + f64_bytes(0.25) + le_bytes(10));
+  ASSERT_NE(entries, std::string::npos);
+  put_le(mutant, entries - 4, 3u | (1u << 16), 4);
+  Tally tally;
+  tally.call(mutant, [&] { (void)decode_result(mutant); });
+  EXPECT_EQ(tally.refused, 1u);
+  EXPECT_LE(tally.largest_allocation, allocation_cap(mutant.size()));
+
+  // The solve count at its cap, in a frame far too short for that many.
+  std::string solves = frame;
+  const std::string id = "fuzz-result";
+  const std::size_t count_at = kFrameHeaderBytes + 4 + id.size() + 8 + 8 + 1 + 1 + 4 * 8;
+  ASSERT_EQ(solves.substr(count_at, 4), std::string("\x02\0\0\0", 4));  // two solves
+  put_le(solves, count_at, service::kMaxRhsCount, 4);
+  tally.call(solves, [&] { (void)decode_result(solves); });
+  EXPECT_EQ(tally.refused, 2u);
+  EXPECT_LE(tally.largest_allocation, allocation_cap(solves.size()));
+
+  // The unmutated frame still decodes.
+  tally.call(frame, [&] { (void)decode_result(frame); });
+  EXPECT_EQ(tally.accepted, 1u);
 }
 
 }  // namespace
