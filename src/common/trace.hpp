@@ -14,10 +14,13 @@
 //      only after its begin fields are published (`open`), and its
 //      attrs/duration are read only after the end publish (`done`).
 //      A still-running span reports `running=true` with a live duration.
-//   3. Bounded memory: the slot array is sized at construction; when it
-//      fills, further spans are counted in `dropped()` instead of
-//      recorded. Retained traces (job registry, flight recorder) cost
-//      `capacity * sizeof(Slot)` each, nothing more.
+//   3. Bounded memory: the slot capacity is fixed at construction; when
+//      it fills, further spans are counted in `dropped()` instead of
+//      recorded. Slots are allocated on first use, in chunks of
+//      `kChunkSlots`, each installed with one compare-and-swap, so a
+//      retained trace (job registry, flight recorder) costs the chunks
+//      its spans touched — a warm job's 26 spans take 2 of the 16 chunks
+//      a full 256-slot trace would.
 //
 // Trace ids are 128 bits, minted via the splitmix64 finalizer over a
 // process-unique counter, rendered as 32 lowercase hex chars — the
@@ -117,7 +120,16 @@ struct SpanView {
 class Trace {
  public:
   explicit Trace(TraceId id, std::size_t capacity = kDefaultSpanCapacity)
-      : id_(id), epoch_(std::chrono::steady_clock::now()), slots_(capacity) {}
+      : id_(id),
+        epoch_(std::chrono::steady_clock::now()),
+        capacity_(capacity),
+        chunks_((capacity + kChunkSlots - 1) / kChunkSlots) {}
+
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
+  ~Trace() {
+    for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
+  }
 
   const TraceId& id() const { return id_; }
 
@@ -133,11 +145,11 @@ class Trace {
   /// is counted in `dropped()` and `end_span(0, ...)` is a no-op).
   std::uint64_t begin_span(std::string_view name, std::uint64_t parent = 0) {
     const std::size_t slot = claimed_.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= slots_.size()) {
+    if (slot >= capacity_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return 0;
     }
-    Slot& s = slots_[slot];
+    Slot& s = claim(slot);
     s.parent = parent;
     s.name.assign(name);
     s.start_ns = now_ns();
@@ -149,8 +161,9 @@ class Trace {
   /// comma-separated "key=value" list (keys/values must not contain ','
   /// or '='); it is attached atomically with the duration.
   void end_span(std::uint64_t span_id, std::string attrs = {}) {
-    if (span_id == 0 || span_id > slots_.size()) return;
-    Slot& s = slots_[span_id - 1];
+    if (span_id == 0 || span_id > capacity_) return;
+    // begin_span installed this slot's chunk before it returned the id.
+    Slot& s = *find(span_id - 1);
     s.attrs = std::move(attrs);
     s.duration_ns = now_ns() - s.start_ns;
     s.done.store(true, std::memory_order_release);
@@ -163,10 +176,12 @@ class Trace {
   /// attrs; slots claimed but not yet opened are skipped.
   std::vector<SpanView> snapshot() const {
     std::vector<SpanView> out;
-    const std::size_t n = std::min(claimed_.load(std::memory_order_relaxed), slots_.size());
+    const std::size_t n = std::min(claimed_.load(std::memory_order_relaxed), capacity_);
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const Slot& s = slots_[i];
+      const Slot* slot = find(i);
+      if (slot == nullptr) continue;  // claimed, chunk not installed yet
+      const Slot& s = *slot;
       if (!s.open.load(std::memory_order_acquire)) continue;
       SpanView v;
       v.id = i + 1;
@@ -196,11 +211,41 @@ class Trace {
     std::atomic<bool> done{false};  ///< duration + attrs published
   };
 
+  /// Slots per allocation: small enough that a short job's trace stays
+  /// small, large enough that most spans find their chunk installed.
+  static constexpr std::size_t kChunkSlots = 16;
+  struct Chunk {
+    Slot slots[kChunkSlots];
+  };
+
+  /// Slot `i` (< capacity), installing its chunk if no writer has yet.
+  /// Racing writers each build a chunk; one CAS wins and the losers free
+  /// theirs, so recording stays lock-free.
+  Slot& claim(std::size_t i) {
+    std::atomic<Chunk*>& cell = chunks_[i / kChunkSlots];
+    Chunk* chunk = cell.load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      auto fresh = std::make_unique<Chunk>();
+      if (cell.compare_exchange_strong(chunk, fresh.get(), std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        chunk = fresh.release();
+      }
+    }
+    return chunk->slots[i % kChunkSlots];
+  }
+
+  /// Slot `i` (< capacity), or null while its chunk is not installed.
+  Slot* find(std::size_t i) const {
+    Chunk* chunk = chunks_[i / kChunkSlots].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr : &chunk->slots[i % kChunkSlots];
+  }
+
   TraceId id_;
   std::chrono::steady_clock::time_point epoch_;
+  std::size_t capacity_;
   std::atomic<std::size_t> claimed_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::vector<Slot> slots_;
+  std::vector<std::atomic<Chunk*>> chunks_;
 };
 
 /// Shared handle to a per-job trace. Null = tracing disabled for this

@@ -386,7 +386,7 @@ HttpResponse SolverDaemon::job_status(const PathParams& params) {
 HttpResponse SolverDaemon::job_result(const HttpRequest& request, const PathParams& params) {
   const auto status = service_.job_status(params.get("id"));
   if (!status) return error_json(404, "unknown job id");
-  if (status->state != service::JobState::kDone || !status->result) {
+  if (status->state != service::JobState::kDone || !status->rendered) {
     Json j = Json::object();
     j["error"] = "job has no result";
     j["state"] = service::to_string(status->state);
@@ -398,13 +398,15 @@ HttpResponse SolverDaemon::job_result(const HttpRequest& request, const PathPara
   if (accept != nullptr && wire::is_frame_content_type(*accept)) {
     HttpResponse r;
     r.content_type = wire::kContentType;
-    r.body = wire::encode_result(*status->result);
+    // A daemon job keeps only its rendered JSON; the frame is rebuilt from
+    // it (the JSON form carries every field the frame does).
+    r.body = wire::encode_result(service::result_from_json(Json::parse(*status->rendered)));
     wire_binary_.responses.fetch_add(1, std::memory_order_relaxed);
     wire_binary_.response_bytes.fetch_add(r.body.size(), std::memory_order_relaxed);
     return r;
   }
   HttpResponse r;
-  r.body = status->rendered ? *status->rendered : service::to_json(*status->result).dump();
+  r.body = *status->rendered;
   wire_json_.responses.fetch_add(1, std::memory_order_relaxed);
   wire_json_.response_bytes.fetch_add(r.body.size(), std::memory_order_relaxed);
   r.body += "\n";

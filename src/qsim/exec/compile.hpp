@@ -35,25 +35,32 @@ struct CompileOptions {
 /// adjoint flag and target order share one payload array.
 FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {});
 
-/// The dense planes one program has rounded so far, keyed by the source
-/// matrix's `payload.data()`: every op that shares a source matrix shares
-/// its planes, so a program rounds each distinct matrix once. The keys
-/// stay valid because the IR or plan being specialized owns every source
-/// array for as long as the memo is used.
+/// What one program has specialized so far, shared by all of its ops so
+/// that a program holds one copy of each. Dense planes are keyed by the
+/// source matrix's `payload.data()`: every op that shares a source matrix
+/// shares its planes, and a program rounds each distinct matrix once. The
+/// keys stay valid because the IR or plan being specialized owns every
+/// source array for as long as the memo is used. Gather-offset tables are
+/// keyed by the op's target mask (sorted targets determine the table).
 template <typename T>
 struct DensePlanes {
   SharedArray<exec_compute_t<T>> re, im;
 };
 template <typename T>
-using PlaneMemo = std::unordered_map<const std::complex<double>*, DensePlanes<T>>;
+struct OpMemo {
+  std::unordered_map<const std::complex<double>*, DensePlanes<T>> planes;
+  std::unordered_map<std::uint64_t, SharedArray<std::uint64_t>> offsets;
+};
 
 /// Pass 3 for one op: round its payload to the *storage* precision T (then
 /// hold it in the compute precision — identity for float/double,
 /// binary16-round-then-widen-to-float for f16) and precompute its kernel
-/// tables. Dense ops take their planes from `planes`, rounding a matrix
-/// only on its first use; diagonal ops keep the interleaved entries.
+/// tables. Dense ops take their planes and gather offsets from `memo`,
+/// building each only on its first use; a dense matrix whose imaginary
+/// entries all round to zero gets no imaginary plane, which routes it to
+/// the real kernels. Diagonal ops keep the interleaved entries.
 template <typename T>
-CompiledOp<T> specialize_op(const FusedOp& op, PlaneMemo<T>& planes) {
+CompiledOp<T> specialize_op(const FusedOp& op, OpMemo<T>& memo) {
   using C = exec_compute_t<T>;
   // Model the QPU storing this value at precision T.
   const auto qround = [](double v) { return static_cast<C>(static_cast<T>(v)); };
@@ -98,25 +105,30 @@ CompiledOp<T> specialize_op(const FusedOp& op, PlaneMemo<T>& planes) {
         break;
       }
       // Gather offsets: sub-state s lives at base | offsets[s].
-      const std::size_t sub_dim = std::size_t{1} << c.num_targets;
-      c.offsets.resize(sub_dim);
-      for (std::size_t s = 0; s < sub_dim; ++s) {
-        std::uint64_t off = 0;
-        for (std::uint32_t t = 0; t < c.num_targets; ++t) {
-          if (s & (std::size_t{1} << t)) off |= c.target_bits[t];
+      SharedArray<std::uint64_t>& offsets = memo.offsets[c.target_mask];
+      if (offsets.empty()) {
+        std::vector<std::uint64_t> table(std::size_t{1} << c.num_targets);
+        for (std::size_t s = 0; s < table.size(); ++s) {
+          for (std::uint32_t t = 0; t < c.num_targets; ++t) {
+            if (s & (std::size_t{1} << t)) table[s] |= c.target_bits[t];
+          }
         }
-        c.offsets[s] = off;
+        offsets = std::move(table);
       }
-      const auto [it, fresh] = planes.try_emplace(payload.data());
+      c.offsets = offsets;
+      const auto [it, fresh] = memo.planes.try_emplace(payload.data());
       if (fresh) {
         std::vector<C> re, im;
         re.reserve(payload.size());
         im.reserve(payload.size());
+        bool real = true;
         for (const auto& v : payload) {
           re.push_back(qround(v.real()));
           im.push_back(qround(v.imag()));
+          real = real && im.back() == C{};
         }
-        it->second = {std::move(re), std::move(im)};
+        it->second.re = std::move(re);
+        if (!real) it->second.im = std::move(im);
       }
       c.payload_re = it->second.re;
       c.payload_im = it->second.im;
@@ -126,16 +138,16 @@ CompiledOp<T> specialize_op(const FusedOp& op, PlaneMemo<T>& planes) {
   return c;
 }
 
-/// Pass 3: `specialize_op` over every op of `ir`, with one plane memo for
-/// the whole program.
+/// Pass 3: `specialize_op` over every op of `ir`, with one memo for the
+/// whole program.
 template <typename T>
 Program<T> specialize(const FusedIr& ir) {
   Program<T> program;
   program.num_qubits = ir.num_qubits;
   program.stats = ir.stats;
   program.ops.reserve(ir.ops.size());
-  PlaneMemo<T> planes;
-  for (const auto& op : ir.ops) program.ops.push_back(specialize_op<T>(op, planes));
+  OpMemo<T> memo;
+  for (const auto& op : ir.ops) program.ops.push_back(specialize_op<T>(op, memo));
   return program;
 }
 

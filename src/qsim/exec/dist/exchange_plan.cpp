@@ -269,8 +269,9 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
   RankStep<T> step;
   step.local.num_qubits = m;
   // One memo for every step: a rank's dense ops share their source
-  // matrices' planes, which the plan owns for the whole call.
-  PlaneMemo<T> planes;
+  // matrices' planes, which the plan owns for the whole call, and their
+  // gather-offset tables.
+  OpMemo<T> memo;
 
   for (const auto& p : plan.ops) {
     const FusedOp& op = p.op;
@@ -312,7 +313,7 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
           local.payload = std::move(sliced);
         }
       }
-      step.local.ops.push_back(specialize_op<T>(local, planes));
+      step.local.ops.push_back(specialize_op<T>(local, memo));
       ++step.local.stats.ops;
       continue;
     }
@@ -343,7 +344,7 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
     }
     step.wide.num_qubits = m + h;
     step.wide.stats.ops = 1;
-    step.wide.ops.push_back(specialize_op<T>(wide, planes));
+    step.wide.ops.push_back(specialize_op<T>(wide, memo));
     rp.steps.push_back(std::move(step));
     step = RankStep<T>{};
     step.local.num_qubits = m;

@@ -7,11 +7,21 @@
 // its own threads. A lane's result depends only on the program and on
 // whether it ran alone or in a panel of >= 2 lanes, never on how many
 // threads the process runs.
+//
+// Dense ops, which dominate QSVT replay (the block encoding is applied
+// ~2d times), come in two forms. A complex matrix runs the complex
+// kernels. A real one — specialize left its imaginary plane empty, as
+// for the dense embedding of a real A — runs the real kernels, which skip
+// the zero plane: half the multiply-adds. Both compute the output in
+// register tiles (panel_dense_block). Complex ops round exactly as the
+// row-at-a-time kernel did; real ops contract each product into an FMA
+// and round differently from the complex form of the same matrix.
 #pragma once
 
 #include <algorithm>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -83,53 +93,125 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n) {
   }
 }
 
-/// Dense block kernel for a compile-time lane count. kSub > 0 fixes the
-/// sub-dimension too, so the r/s loops fully unroll (fused windows);
-/// kSub == 0 takes it at run time (the wide block-encoding windows).
-/// Either way the row accumulators are fixed-size locals (registers, not
-/// scratch memory — a heap accumulator would alias the gathered sub-panel
-/// and force a reload/spill per multiply, and its speed would hang on
-/// where malloc placed the scratch buffer).
-template <int kLanes, int kSub, typename T>
+/// A run of kWidth compute values as one GCC vector. Arithmetic on it is
+/// element-wise, so every element goes through exactly the scalar
+/// expression written, and a kernel's accumulators are register values
+/// that the compiler does not spill the way it can elements of a local
+/// array (which left one accumulator of a row group on the stack, its
+/// every multiply-add waiting on a store-to-load round trip).
+template <typename C, int kWidth>
+struct Tile {
+  typedef C type __attribute__((vector_size(kWidth * sizeof(C))));
+};
+
+/// Load one tile from `p` (any alignment of C).
+template <typename V, typename C>
+V load_tile(const C* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+/// Dense block kernel for a compile-time lane count. The block's sub-state
+/// is gathered into `x`, one row per s: the kLanes real parts, then the
+/// kLanes imaginary parts. The output is then computed in register tiles
+/// of at most 256 bits (8 floats or 4 doubles), each held across the whole
+/// s loop, so each gathered row is loaded once per group of output rows
+/// and each matrix entry once per tile step:
+///  - complex matrices: rows in groups of 4, a tile of lanes for both the
+///    real and the imaginary output (8 accumulators);
+///  - real matrices (kReal, no imaginary plane): the real and imaginary
+///    parts of a row transform alike, so the tile runs along the whole
+///    gathered row — two tiles per step and rows in groups of 4 on wide
+///    panels, one tile and rows in groups of 8 where the row fits one
+///    register (8 accumulators either way). Each (row, s, lane) step is 2
+///    multiply-adds instead of the complex form's 4.
+/// kSub > 0 fixes the sub-dimension too, so the loops fully unroll (fused
+/// windows); kSub == 0 takes it at run time (the wide block-encoding
+/// windows, >= 16 rows).
+///
+/// Rounding: every output element accumulates the same expression in the
+/// same s order at every width >= 2, so lane results do not depend on the
+/// panel width. The complex form is the expression of the row-at-a-time
+/// kernel it replaced, so complex ops round as before. The real form
+/// contracts each product and sum into one FMA and so rounds differently
+/// from the complex form of the same matrix.
+template <int kLanes, int kSub, bool kReal, typename T>
 void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restrict__ im,
-                       std::size_t sub_dim, std::int64_t bb,
-                       exec_compute_t<T>* __restrict__ sre, exec_compute_t<T>* __restrict__ sim) {
+                       std::size_t sub_dim, std::int64_t bb, exec_compute_t<T>* __restrict__ x) {
   using C = exec_compute_t<T>;
+  constexpr int kRow = 2 * kLanes;  // one gathered row: re lanes, then im lanes
+  constexpr int kRegister = static_cast<int>(32 / sizeof(C));
   const int sub = kSub > 0 ? kSub : static_cast<int>(sub_dim);
   const std::uint64_t* offsets = op.offsets.data();
   const C* __restrict__ mre = op.payload_re.data();
   const C* __restrict__ mim = op.payload_im.data();
   const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
   for (int s = 0; s < sub; ++s) {
-    const T* __restrict__ src_re = re + static_cast<std::int64_t>(base | offsets[s]) * kLanes;
-    const T* __restrict__ src_im = im + static_cast<std::int64_t>(base | offsets[s]) * kLanes;
+    const std::int64_t at = static_cast<std::int64_t>(base | offsets[s]) * kLanes;
 #pragma omp simd
     for (std::int64_t l = 0; l < kLanes; ++l) {
-      sre[s * kLanes + l] = static_cast<C>(src_re[l]);
-      sim[s * kLanes + l] = static_cast<C>(src_im[l]);
+      x[s * kRow + l] = static_cast<C>(re[at + l]);
+      x[s * kRow + kLanes + l] = static_cast<C>(im[at + l]);
     }
   }
-  for (int r = 0; r < sub; ++r) {
-    const C* __restrict__ rre = mre + r * sub;
-    const C* __restrict__ rim = mim + r * sub;
-    C acc_re[kLanes] = {};
-    C acc_im[kLanes] = {};
-    for (int s = 0; s < sub; ++s) {
-      const C mr = rre[s], mi = rim[s];
-      const C* __restrict__ xr = sre + s * kLanes;
-      const C* __restrict__ xi = sim + s * kLanes;
-#pragma omp simd
-      for (std::int64_t l = 0; l < kLanes; ++l) {
-        acc_re[l] += mr * xr[l] - mi * xi[l];
-        acc_im[l] += mr * xi[l] + mi * xr[l];
+  if constexpr (kReal) {
+    constexpr int kTile = std::min(kRow, kRegister);
+    constexpr int kTiles = std::min(2, kRow / kTile);  // tiles per step
+    constexpr int kGroup = 8 / kTiles;
+    constexpr int kRows = kSub > 0 ? std::min(kGroup, kSub) : kGroup;
+    using V = typename Tile<C, kTile>::type;
+    for (int c0 = 0; c0 < kRow; c0 += kTiles * kTile) {
+      for (int r0 = 0; r0 < sub; r0 += kRows) {
+        V acc[kRows][kTiles] = {};
+        for (int s = 0; s < sub; ++s) {
+          V xs[kTiles];
+          for (int t = 0; t < kTiles; ++t) xs[t] = load_tile<V>(x + s * kRow + c0 + t * kTile);
+#pragma GCC unroll 8
+          for (int g = 0; g < kRows; ++g) {
+            const C m = mre[(r0 + g) * sub + s];
+            for (int t = 0; t < kTiles; ++t) acc[g][t] += m * xs[t];
+          }
+        }
+#pragma GCC unroll 8
+        for (int g = 0; g < kRows; ++g) {
+          const std::int64_t at = static_cast<std::int64_t>(base | offsets[r0 + g]) * kLanes;
+          for (int t = 0; t < kTiles; ++t) {
+            for (int l = 0; l < kTile; ++l) {
+              const int c = c0 + t * kTile + l;
+              (c < kLanes ? re[at + c] : im[at + c - kLanes]) = static_cast<T>(acc[g][t][l]);
+            }
+          }
+        }
       }
     }
-    T* __restrict__ dst_re = re + static_cast<std::int64_t>(base | offsets[r]) * kLanes;
-    T* __restrict__ dst_im = im + static_cast<std::int64_t>(base | offsets[r]) * kLanes;
-#pragma omp simd
-    for (std::int64_t l = 0; l < kLanes; ++l) {
-      dst_re[l] = static_cast<T>(acc_re[l]);
-      dst_im[l] = static_cast<T>(acc_im[l]);
+  } else {
+    constexpr int kTile = std::min(kLanes, kRegister);
+    constexpr int kRows = kSub > 0 ? std::min(4, kSub) : 4;
+    using V = typename Tile<C, kTile>::type;
+    for (int l0 = 0; l0 < kLanes; l0 += kTile) {
+      for (int r0 = 0; r0 < sub; r0 += kRows) {
+        V acc_re[kRows] = {};
+        V acc_im[kRows] = {};
+        for (int s = 0; s < sub; ++s) {
+          const V xr = load_tile<V>(x + s * kRow + l0);
+          const V xi = load_tile<V>(x + s * kRow + kLanes + l0);
+#pragma GCC unroll 8
+          for (int g = 0; g < kRows; ++g) {
+            const C mr = mre[(r0 + g) * sub + s], mi = mim[(r0 + g) * sub + s];
+            acc_re[g] += mr * xr - mi * xi;
+            acc_im[g] += mr * xi + mi * xr;
+          }
+        }
+#pragma GCC unroll 8
+        for (int g = 0; g < kRows; ++g) {
+          const std::int64_t at = static_cast<std::int64_t>(base | offsets[r0 + g]) * kLanes + l0;
+          for (int l = 0; l < kTile; ++l) {
+            re[at + l] = static_cast<T>(acc_re[g][l]);
+            im[at + l] = static_cast<T>(acc_im[g][l]);
+          }
+        }
+      }
     }
   }
 }
@@ -138,8 +220,9 @@ void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restric
 /// vectorize, so the sub-state is gathered into split planes and each
 /// output amplitude is one row·column inner product over contiguous
 /// arrays, vectorized across the sub-dimension — the form that keeps the
-/// 2^7-wide windows of dense-embedding programs in SIMD.
-template <typename T>
+/// 2^7-wide windows of dense-embedding programs in SIMD. A real matrix
+/// streams its real plane only.
+template <bool kReal, typename T>
 void dense_block_one_lane(const CompiledOp<T>& op, T* re, T* im, std::size_t sub_dim,
                           std::int64_t bb, exec_compute_t<T>* sre, exec_compute_t<T>* sim) {
   using C = exec_compute_t<T>;
@@ -153,15 +236,43 @@ void dense_block_one_lane(const CompiledOp<T>& op, T* re, T* im, std::size_t sub
   }
   for (std::size_t r = 0; r < sub_dim; ++r) {
     const C* rre = mre + r * sub_dim;
-    const C* rim = mim + r * sub_dim;
     C acc_re{}, acc_im{};
+    if constexpr (kReal) {
 #pragma omp simd reduction(+ : acc_re, acc_im)
-    for (std::size_t s = 0; s < sub_dim; ++s) {
-      acc_re += rre[s] * sre[s] - rim[s] * sim[s];
-      acc_im += rre[s] * sim[s] + rim[s] * sre[s];
+      for (std::size_t s = 0; s < sub_dim; ++s) {
+        acc_re += rre[s] * sre[s];
+        acc_im += rre[s] * sim[s];
+      }
+    } else {
+      const C* rim = mim + r * sub_dim;
+#pragma omp simd reduction(+ : acc_re, acc_im)
+      for (std::size_t s = 0; s < sub_dim; ++s) {
+        acc_re += rre[s] * sre[s] - rim[s] * sim[s];
+        acc_im += rre[s] * sim[s] + rim[s] * sre[s];
+      }
     }
     re[base | offsets[r]] = static_cast<T>(acc_re);
     im[base | offsets[r]] = static_cast<T>(acc_im);
+  }
+}
+
+/// One dense block of `op` at a compile-time lane count and matrix kind,
+/// gathered into `scratch` (2 * sub_dim * kLanes values).
+template <int kLanes, bool kReal, typename T>
+void dense_block(const CompiledOp<T>& op, T* re, T* im, std::size_t sub_dim, std::int64_t bb,
+                 exec_compute_t<T>* scratch) {
+  if constexpr (kLanes == 1) {
+    dense_block_one_lane<kReal>(op, re, im, sub_dim, bb, scratch, scratch + sub_dim);
+  } else {
+    // Fused windows are <= 3 qubits by default and unroll fully; wider
+    // payloads (a raised max_fuse_qubits, the block-encoding unitary)
+    // loop over a run-time sub-dimension.
+    switch (op.num_targets) {
+      case 1: panel_dense_block<kLanes, 2, kReal>(op, re, im, sub_dim, bb, scratch); break;
+      case 2: panel_dense_block<kLanes, 4, kReal>(op, re, im, sub_dim, bb, scratch); break;
+      case 3: panel_dense_block<kLanes, 8, kReal>(op, re, im, sub_dim, bb, scratch); break;
+      default: panel_dense_block<kLanes, 0, kReal>(op, re, im, sub_dim, bb, scratch); break;
+    }
   }
 }
 
@@ -171,33 +282,25 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   using C = exec_compute_t<T>;
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
   const std::int64_t blocks = n >> op.free_shift;
-  // Gathered sub-panel in split planes: [sub_dim][kLanes] re, then im,
+  // Gathered sub-state: 2 * sub_dim * kLanes values (layout per kernel),
   // starting on a cache line. At malloc's 16-byte alignment an 8-lane
   // double row straddles two lines, every multiply-add of the row loop
   // splits a load, and where the buffer landed set a sweep's cost (the
   // n=64 dense-embedding program: 23.5 ms aligned, 29 ms at offset 48).
-  const std::size_t plane = sub_dim * kLanes;
+  const std::size_t values = 2 * sub_dim * kLanes;
   constexpr std::size_t kLine = 64;
-  if (run_scratch.size() < 2 * plane + kLine / sizeof(C)) {
-    run_scratch.resize(2 * plane + kLine / sizeof(C));
+  if (run_scratch.size() < values + kLine / sizeof(C)) {
+    run_scratch.resize(values + kLine / sizeof(C));
   }
   void* start = run_scratch.data();
   std::size_t space = run_scratch.size() * sizeof(C);
-  C* sre = static_cast<C*>(std::align(kLine, 2 * plane * sizeof(C), start, space));
-  C* sim = sre + plane;
+  C* scratch = static_cast<C*>(std::align(kLine, values * sizeof(C), start, space));
+  const bool real = op.payload_im.empty();
   for (std::int64_t bb = 0; bb < blocks; ++bb) {
-    if constexpr (kLanes == 1) {
-      dense_block_one_lane(op, re, im, sub_dim, bb, sre, sim);
+    if (real) {
+      dense_block<kLanes, true>(op, re, im, sub_dim, bb, scratch);
     } else {
-      // Fused windows are <= 3 qubits by default and unroll fully; wider
-      // payloads (a raised max_fuse_qubits, the block-encoding unitary)
-      // loop over a run-time sub-dimension.
-      switch (op.num_targets) {
-        case 1: panel_dense_block<kLanes, 2>(op, re, im, sub_dim, bb, sre, sim); break;
-        case 2: panel_dense_block<kLanes, 4>(op, re, im, sub_dim, bb, sre, sim); break;
-        case 3: panel_dense_block<kLanes, 8>(op, re, im, sub_dim, bb, sre, sim); break;
-        default: panel_dense_block<kLanes, 0>(op, re, im, sub_dim, bb, sre, sim); break;
-      }
+      dense_block<kLanes, false>(op, re, im, sub_dim, bb, scratch);
     }
   }
 }

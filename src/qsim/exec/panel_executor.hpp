@@ -23,6 +23,13 @@
 // sub-dimension instead and so rounds differently — hence the minimum
 // pad width of 2 (see kernels.hpp).
 //
+// Dense ops run in register tiles of at most 256 bits (8 floats or 4
+// doubles), and a real matrix (no imaginary plane) runs the real form,
+// which skips the zero plane. Complex ops replay bitwise as before the
+// tiled kernels; real ops round differently (one FMA per product). Dist
+// ranks replay through this class too, so dist and single-node results
+// stay bitwise equal.
+//
 // A replay runs on the calling thread; the lane loop is the SIMD
 // dimension. Parallelism comes from replaying distinct panels on distinct
 // threads (the service's solve pool), which the replayer allows: it is

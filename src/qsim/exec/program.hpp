@@ -156,9 +156,14 @@ struct CompiledOp {
   /// kDense: the row-major matrix split into real/imaginary planes, the
   /// only form the dense kernels read (the interleaved complex layout
   /// defeats SIMD). Ops whose source ops share a matrix share its planes:
-  /// a program rounds each distinct matrix once.
+  /// a program rounds each distinct matrix once. `payload_im` is empty
+  /// when every imaginary entry rounds to zero in T (a real matrix, such
+  /// as the dense embedding of a real A): the kernels then run the real
+  /// form, two multiply-adds per entry and lane instead of four.
   SharedArray<C> payload_re, payload_im;
-  std::vector<std::uint64_t> offsets;      ///< dense: 2^k gather offsets
+  /// kDense: the 2^k gather offsets, shared by every op of a program on
+  /// the same targets.
+  SharedArray<std::uint64_t> offsets;
 
   // kGlobalPhase
   std::complex<C> phase;

@@ -346,9 +346,13 @@ std::optional<std::string> SolverService::submit_job(
           if (render) {
             Timer render_timer;
             MPQLS_TRACE_SPAN(render_span, record->trace, "render", run_span.id());
-            rendered = std::make_shared<const std::string>(render(*result));
+            std::string text = render(*result);
+            text.shrink_to_fit();  // the record keeps it: drop the growth capacity
+            rendered = std::make_shared<const std::string>(std::move(text));
             render_span.finish();
             stage_latency_.render.observe(render_timer.seconds());
+            // The rendered text is the record's one copy of the result.
+            result.reset();
           }
           run_span.finish();
           finish_job(record, JobState::kDone, std::move(result), std::move(rendered), "");

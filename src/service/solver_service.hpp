@@ -91,16 +91,21 @@ const char* to_string(JobState state);
 /// jobs alike: in both cases the job's work can no longer be unspent.
 enum class CancelOutcome { kCancelled, kNotFound, kNotCancellable };
 
-/// Point-in-time snapshot of a submitted job. `result` is set iff kDone;
+/// Point-in-time snapshot of a submitted job. A kDone job holds exactly
+/// one copy of its result, kept for as long as the record is retained:
+/// `rendered` when the job was submitted with a renderer, else `result`.
 /// `error` is non-empty iff kFailed.
 struct JobStatus {
   std::string job_id;
   JobState state = JobState::kQueued;
   std::string error;
+  /// The solve's result; set iff kDone and no renderer was given.
   std::shared_ptr<const SolveResult> result;
   /// Output of the submit-time `render` callback (run once, on the job
-  /// worker). Lets a front-end serve a terminal result repeatedly without
-  /// re-serializing it per poll. Null when no renderer was given.
+  /// worker), trimmed to its length. Lets a front-end serve a terminal
+  /// result repeatedly without re-serializing it per poll; the struct it
+  /// was rendered from is dropped, so a front-end that needs another form
+  /// rebuilds it from this text. Null when no renderer was given.
   std::shared_ptr<const std::string> rendered;
   double queue_seconds = 0.0;  ///< submit -> worker pickup (live while queued)
   double run_seconds = 0.0;    ///< worker pickup -> terminal (0 until then)
@@ -135,9 +140,11 @@ class SolverService {
   /// generation from a network body) never runs on the caller's thread.
   /// If it throws, the job lands in kFailed with the exception message —
   /// the same place solve failures land. `render`, when given, runs once
-  /// on the worker after a successful solve; its output is snapshotted as
+  /// on the worker after a successful solve; its output is kept as
   /// JobStatus::rendered (e.g. the serialized result a poll endpoint
-  /// serves verbatim). `trace` is the job's span buffer — the daemon
+  /// serves verbatim) in place of the SolveResult, which is then dropped:
+  /// a retained record holds one copy of its result, not two. A failed
+  /// job keeps only its error. `trace` is the job's span buffer — the daemon
   /// passes the one it minted (or adopted) at the front door; when null,
   /// the service mints its own so every job is traceable.
   std::optional<std::string> submit_job(

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,6 +119,55 @@ TEST(Trace, ConcurrentWritersAndReadersStayConsistent) {
   EXPECT_EQ(spans.size(), static_cast<std::size_t>(kWriters * kSpansPerWriter));
   EXPECT_EQ(trace.dropped(), 0u);
   for (const auto& span : spans) EXPECT_FALSE(span.running);
+}
+
+TEST(Trace, ChunksInstallOnFirstUseUnderConcurrentWritersAndReaders) {
+  // Slots are allocated in chunks of 16 on first use. Writers racing
+  // across chunk boundaries (and past a capacity that is not a multiple
+  // of 16) while a reader snapshots must install each chunk once, keep
+  // every recorded span, and count the overflow in dropped().
+  constexpr std::size_t kCapacity = 40;
+  constexpr int kWriters = 4;
+  constexpr int kSpansPerWriter = 15;
+  for (int round = 0; round < 50; ++round) {
+    Trace trace(mint_trace_id(), kCapacity);
+    std::atomic<bool> go{false};
+    std::atomic<int> writing{kWriters};
+    std::vector<std::thread> threads;
+    threads.reserve(kWriters + 1);
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < kSpansPerWriter; ++i) {
+          const auto id = trace.begin_span("w" + std::to_string(w));
+          trace.end_span(id, "i=" + std::to_string(i));
+        }
+        writing.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    threads.emplace_back([&] {
+      go.store(true, std::memory_order_release);
+      while (writing.load(std::memory_order_acquire) > 0) {
+        std::set<std::uint64_t> ids;
+        for (const auto& span : trace.snapshot()) {
+          ASSERT_FALSE(span.name.empty());
+          ASSERT_GE(span.id, 1u);
+          ASSERT_LE(span.id, kCapacity);
+          ASSERT_TRUE(ids.insert(span.id).second);
+        }
+      }
+    });
+    for (auto& t : threads) t.join();
+
+    const auto spans = trace.snapshot();
+    ASSERT_EQ(spans.size(), kCapacity) << "round " << round;
+    EXPECT_EQ(trace.dropped(), kWriters * kSpansPerWriter - kCapacity);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_EQ(spans[i].id, i + 1);
+      EXPECT_FALSE(spans[i].running);
+    }
+  }
 }
 
 TEST(ScopedSpan, RecordsAttrsOnScopeExit) {

@@ -19,6 +19,7 @@
 #include "common/trace.hpp"
 #include "net/http_client.hpp"
 #include "service/json_io.hpp"
+#include "wire/codec.hpp"
 
 namespace mpqls::net {
 namespace {
@@ -179,6 +180,39 @@ TEST(SolverDaemon, ConcurrentJobsMatchSynchronousPathBitwise) {
   EXPECT_TRUE(daemon.drain(5000ms));
 }
 
+TEST(SolverDaemon, FrameResultOfRenderedJobMatchesSynchronousEncoding) {
+  // A finished daemon job keeps only its rendered JSON; GET /result with a
+  // frame Accept header rebuilds the frame from that text. It must be the
+  // frame of the synchronous solve's result, byte for byte, once the wall
+  // clock fields (which no two runs share) are taken from the job.
+  SolverDaemon daemon(loopback_options());
+  daemon.start();
+  HttpClient client("127.0.0.1", daemon.port());
+  const std::string id = submit(client, kPoissonJob);
+  EXPECT_EQ(poll_until_terminal(client, id).at("state").as_string(), "done");
+
+  const auto status = daemon.service().job_status(id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->result, nullptr);
+  ASSERT_NE(status->rendered, nullptr);
+
+  const auto frame = client.get("/v1/jobs/" + id + "/result", {{"Accept", wire::kContentType}});
+  ASSERT_EQ(frame.status, 200) << frame.body;
+  const auto got = wire::decode_result(frame.body);
+
+  service::SolverService reference({.cache_capacity = 4, .solve_threads = 1, .job_threads = 1});
+  auto want = reference.solve(service::request_from_json(Json::parse(kPoissonJob)));
+  want.prepare_seconds = got.prepare_seconds;
+  want.total_seconds = got.total_seconds;
+  ASSERT_EQ(want.solves.size(), got.solves.size());
+  for (std::size_t k = 0; k < want.solves.size(); ++k) {
+    want.solves[k].solve_seconds = got.solves[k].solve_seconds;
+    want.solves[k].report.program_compile_seconds = got.solves[k].report.program_compile_seconds;
+  }
+  EXPECT_EQ(frame.body, wire::encode_result(want));
+  EXPECT_TRUE(daemon.drain(5000ms));
+}
+
 TEST(SolverDaemon, AdaptiveJobExportsPrecisionTierMetrics) {
   // A gate-level adaptive job reached purely through the HTTP front door
   // (the JSON knob, not C++ options) must run the escalation schedule and
@@ -289,8 +323,10 @@ TEST(SolverDaemon, DrainFinishesInFlightJobsAndRefusesNewOnes) {
   const auto status = daemon.service().job_status(in_flight);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, service::JobState::kDone);
-  ASSERT_NE(status->result, nullptr);
-  EXPECT_TRUE(status->result->all_converged);
+  // A daemon job keeps its result as the rendered JSON only.
+  EXPECT_EQ(status->result, nullptr);
+  ASSERT_NE(status->rendered, nullptr);
+  EXPECT_TRUE(Json::parse(*status->rendered).at("all_converged").as_bool());
   HttpClient dead("127.0.0.1", port);
   EXPECT_THROW(dead.get("/v1/healthz"), std::exception);
 }

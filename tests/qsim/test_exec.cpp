@@ -4,17 +4,21 @@
 // panel must agree with gate-by-gate interpretation within precision
 // tolerance, in both float and double. Also: every application of one
 // unitary gate shares one matrix from lowering through each tier's
-// program, bitwise like unshared copies.
+// program, bitwise like unshared copies; real dense matrices keep no
+// imaginary plane; dense ops on one target set share one offset table.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
@@ -194,6 +198,94 @@ TEST(Exec, RepeatedUnitarySharesOneMatrixThroughEveryTier) {
                        replay_two_lanes(qsim::exec::specialize<float>(ir_separate)));
   expect_bitwise_equal(replay_two_lanes(f64),
                        replay_two_lanes(qsim::exec::specialize<double>(ir_separate)));
+}
+
+/// Every dense op of `ops`: real (no imaginary plane) iff it has
+/// `real_targets` targets; a complex op keeps both full planes. Returns
+/// the number of real and complex dense ops seen.
+template <typename T>
+std::pair<std::size_t, std::size_t> check_real_planes(
+    const std::vector<qsim::exec::CompiledOp<T>>& ops, std::uint32_t real_targets) {
+  std::size_t real = 0, complex = 0;
+  for (const auto& op : ops) {
+    if (op.kind != qsim::exec::OpKind::kDense) continue;
+    if (op.num_targets == real_targets) {
+      ++real;
+      EXPECT_TRUE(op.payload_im.empty());
+      EXPECT_FALSE(op.payload_re.empty());
+    } else {
+      ++complex;
+      EXPECT_EQ(op.payload_im.size(), op.payload_re.size());
+    }
+  }
+  return {real, complex};
+}
+
+template <typename T>
+void real_planes_in_every_program() {
+  // 4 applications of a real orthogonal U on 4 qubits, and one complex
+  // fused 3-qubit window.
+  Xoshiro256 rng(83);
+  const auto ir = qsim::exec::lower_and_fuse(test::mixed_real_complex(rng));
+  EXPECT_EQ(check_real_planes(qsim::exec::specialize<T>(ir).ops, 4),
+            (std::pair<std::size_t, std::size_t>{4, 1}));
+  // Rank programs of a 2-way split: U's top target is a partition qubit,
+  // so U runs as each rank's exchange step, on the wide register.
+  const auto plan = qsim::exec::dist::build_exchange_plan(ir, 1);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    std::size_t real = 0, complex = 0;
+    for (const auto& step : qsim::exec::dist::specialize_rank<T>(plan, r).steps) {
+      for (const auto* program : {&step.local, &step.wide}) {
+        const auto [re, co] = check_real_planes(program->ops, 4);
+        real += re;
+        complex += co;
+      }
+    }
+    EXPECT_EQ(real, 4u) << "rank " << r;
+    EXPECT_EQ(complex, 1u) << "rank " << r;
+  }
+}
+
+TEST(Exec, RealDenseOpsDropTheirImaginaryPlane) {
+  // The data decides: a dense matrix whose imaginary parts are all zero
+  // after rounding keeps only its real plane, on both tiers and in rank
+  // programs; a complex window keeps both.
+  real_planes_in_every_program<float>();
+  real_planes_in_every_program<double>();
+}
+
+template <typename T>
+void expect_one_offset_table_per_target_set(const std::vector<qsim::exec::CompiledOp<T>>& ops) {
+  std::set<std::uint64_t> masks;
+  for (const auto& op : ops) {
+    if (op.kind == qsim::exec::OpKind::kDense) masks.insert(op.target_mask);
+  }
+  using Op = qsim::exec::CompiledOp<T>;
+  EXPECT_EQ(test::distinct_dense_arrays(ops, &Op::offsets).size(), masks.size());
+}
+
+TEST(Exec, DenseOpsShareOffsetTables) {
+  // Six applications of U on one target set plus one fused window: two
+  // gather-offset tables per program, however many ops use them.
+  Xoshiro256 rng(84);
+  const auto u = test::random_unitary(rng, 16);
+  auto c = test::alternating_unitary(5, {3, 0, 4, 1}, u, 2, 6, true);
+  c.h(0).s(1).cx(0, 1).h(1);
+  const auto ir = qsim::exec::lower_and_fuse(c);
+  const auto f32 = qsim::exec::specialize<float>(ir);
+  const auto f64 = qsim::exec::specialize<double>(ir);
+  using Op32 = qsim::exec::CompiledOp<float>;
+  EXPECT_EQ(test::distinct_dense_arrays(f32.ops, &Op32::offsets).size(), 2u);
+  expect_one_offset_table_per_target_set(f64.ops);
+  const auto plan = qsim::exec::dist::build_exchange_plan(ir, 1);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    std::vector<Op32> ops;
+    for (const auto& step : qsim::exec::dist::specialize_rank<float>(plan, r).steps) {
+      ops.insert(ops.end(), step.local.ops.begin(), step.local.ops.end());
+      ops.insert(ops.end(), step.wide.ops.begin(), step.wide.ops.end());
+    }
+    expect_one_offset_table_per_target_set(ops);
+  }
 }
 
 TEST(Exec, ControlledGlobalPhaseLowering) {

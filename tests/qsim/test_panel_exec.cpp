@@ -5,8 +5,10 @@
 // padded (ragged, wider than 16) lane widths, all three storage tiers,
 // fused windows up to 5 qubits, a dense-embedding QSVT program (whose
 // block-encoding unitary is one 5-target dense op), lane results bitwise
-// independent of the panel width, and the panel-wide reductions (norms,
-// postselection) against their Statevector counterparts.
+// independent of the panel width (with real and complex dense ops), the
+// real dense kernels against the complex ones on the same matrices, and
+// the panel-wide reductions (norms, postselection) against their
+// Statevector counterparts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +46,14 @@ constexpr double tolerance() {
   if constexpr (std::is_same_v<T, double>) return 1e-11;
   if constexpr (std::is_same_v<T, float>) return 1e-3;
   return 1e-2;
+}
+
+// Relative bound between the real and the complex kernel on one program
+// (rounding differences only, a few ulps per dense op).
+template <typename T>
+constexpr double real_kernel_tolerance() {
+  if constexpr (std::is_same_v<T, double>) return 1e-12;
+  return 1e-4;
 }
 
 // Replay `program` over `lanes` random states as one panel, and interpret
@@ -177,13 +187,17 @@ qsim::exec::StatePanel<T> replay_states(
 }
 
 template <typename T>
-void lane_results_independent_of_width() {
-  Xoshiro256 rng(79);
-  qsvt::QsvtOptions options;
-  options.eps_l = 5e-2;
-  const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 5.0), options);
-  const auto& program = ctx.programs->get<T>();
-  const std::uint32_t width = ctx.circuit->circuit.num_qubits();
+std::size_t real_dense_ops(const qsim::exec::Program<T>& program) {
+  std::size_t real = 0;
+  for (const auto& op : program.ops) {
+    real += op.kind == qsim::exec::OpKind::kDense && op.payload_im.empty();
+  }
+  return real;
+}
+
+template <typename T>
+void lane_results_independent_of_width(const qsim::exec::Program<T>& program,
+                                       std::uint32_t width, Xoshiro256& rng) {
   constexpr std::size_t kStates = 33;
   std::vector<std::vector<std::complex<double>>> states;
   for (std::size_t s = 0; s < kStates; ++s) states.push_back(random_state(rng, width));
@@ -211,12 +225,87 @@ void lane_results_independent_of_width() {
   }
 }
 
+template <typename T>
+void lane_results_independent_of_width() {
+  // A dense-embedding QSVT program, whose block encoding is real, and a
+  // program mixing real and complex dense ops.
+  Xoshiro256 rng(79);
+  qsvt::QsvtOptions options;
+  options.eps_l = 5e-2;
+  const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 5.0), options);
+  const auto& program = ctx.programs->get<T>();
+  EXPECT_GT(real_dense_ops(program), 0u);
+  lane_results_independent_of_width(program, ctx.circuit->circuit.num_qubits(), rng);
+
+  const auto mixed = qsim::exec::compile<T>(test::mixed_real_complex(rng));
+  EXPECT_EQ(real_dense_ops(mixed), 4u);
+  lane_results_independent_of_width(mixed, mixed.num_qubits, rng);
+}
+
 TEST(PanelExec, LaneResultsAreBitwiseIndependentOfPanelWidth) {
   // Every width replays each lane with the same arithmetic as a 16-lane
-  // panel: the solvers' batch-vs-batch parity rests on this.
+  // panel, in the real and the complex dense kernel alike: the solvers'
+  // batch-vs-batch parity rests on this.
   lane_results_independent_of_width<double>();
   lane_results_independent_of_width<float>();
   lane_results_independent_of_width<qsim::exec::f16>();
+}
+
+/// `program` with the zero imaginary plane put back on every real dense
+/// op, so that the complex kernels replay it.
+template <typename T>
+qsim::exec::Program<T> with_imaginary_planes(qsim::exec::Program<T> program) {
+  for (auto& op : program.ops) {
+    if (op.kind == qsim::exec::OpKind::kDense && op.payload_im.empty()) {
+      op.payload_im = std::vector<qsim::exec::exec_compute_t<T>>(op.payload_re.size());
+    }
+  }
+  return program;
+}
+
+template <typename T>
+void real_kernel_agrees_with_complex_kernel(const qsim::exec::Program<T>& program,
+                                            std::uint32_t width, Xoshiro256& rng) {
+  ASSERT_GT(real_dense_ops(program), 0u);
+  const auto complex = with_imaginary_planes(program);
+  ASSERT_EQ(real_dense_ops(complex), 0u);
+  for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+    std::vector<std::vector<std::complex<double>>> states;
+    std::vector<std::size_t> pick;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      states.push_back(random_state(rng, width));
+      pick.push_back(l);
+    }
+    const auto got = replay_states(program, states, width, pick);
+    const auto want = replay_states(complex, states, width, pick);
+    double worst = 0.0, scale = 0.0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t i = 0; i < got.dim(); ++i) {
+        worst = std::max(worst, std::abs(got.amp(i, l) - want.amp(i, l)));
+        scale = std::max(scale, std::abs(want.amp(i, l)));
+      }
+    }
+    EXPECT_LT(worst, real_kernel_tolerance<T>() * scale) << "lanes=" << lanes;
+  }
+}
+
+template <typename T>
+void real_kernel_agrees_with_complex_kernel() {
+  Xoshiro256 rng(80);
+  qsvt::QsvtOptions options;
+  options.eps_l = 5e-2;
+  const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 5.0), options);
+  real_kernel_agrees_with_complex_kernel(ctx.programs->get<T>(), ctx.circuit->circuit.num_qubits(),
+                                         rng);
+  const auto mixed = qsim::exec::compile<T>(test::mixed_real_complex(rng));
+  real_kernel_agrees_with_complex_kernel(mixed, mixed.num_qubits, rng);
+}
+
+TEST(PanelExec, RealKernelAgreesWithComplexKernel) {
+  // The real kernels skip the zero imaginary plane and so round
+  // differently (FMA contraction), never by more than a few ulps per op.
+  real_kernel_agrees_with_complex_kernel<double>();
+  real_kernel_agrees_with_complex_kernel<float>();
 }
 
 TEST(PanelExec, ProgramNarrowerThanPanelRegister) {

@@ -22,11 +22,13 @@ namespace mpqls::test {
 
 using c64 = qsim::c64;
 
-/// Random unitary: Gram-Schmidt on a complex Gaussian matrix.
-inline linalg::Matrix<c64> random_unitary(Xoshiro256& rng, std::size_t dim) {
+/// Random unitary: Gram-Schmidt on a complex Gaussian matrix, or with
+/// `real` on a real one (a real orthogonal matrix, every imaginary part
+/// exactly zero).
+inline linalg::Matrix<c64> random_unitary(Xoshiro256& rng, std::size_t dim, bool real = false) {
   linalg::Matrix<c64> m(dim, dim);
   for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) m(i, j) = c64(rng.normal(), rng.normal());
+    for (std::size_t j = 0; j < dim; ++j) m(i, j) = c64(rng.normal(), real ? 0.0 : rng.normal());
   }
   for (std::size_t c = 0; c < dim; ++c) {
     for (std::size_t p = 0; p < c; ++p) {
@@ -166,6 +168,17 @@ inline qsim::Circuit alternating_unitary(std::uint32_t n, const std::vector<std:
     }
     c.rz(spare, 0.25 * (k + 1));
   }
+  return c;
+}
+
+/// A program with both dense kernels: a real orthogonal block encoding
+/// applied the QSVT way (alternating_unitary on 4 of 5 qubits, too wide to
+/// fuse, so each application is one real dense op), closed by a window of
+/// rz, H, S and CX gates on 3 qubits that fuses into one complex dense op.
+inline qsim::Circuit mixed_real_complex(Xoshiro256& rng) {
+  auto c = alternating_unitary(5, {4, 0, 2, 1}, random_unitary(rng, 16, /*real=*/true), 3, 4,
+                               true);
+  c.h(0).s(1).cx(0, 1).h(1);
   return c;
 }
 
