@@ -8,21 +8,44 @@
 
 namespace mpqls::poly {
 
+namespace {
+
+/// Points whose Clenshaw recurrences run interleaved in a batched evaluate.
+constexpr std::size_t kClenshawBlock = 8;
+
+/// Clenshaw recurrence at B points at once. The scalar evaluate is B = 1,
+/// so every point runs the same arithmetic in either form.
+template <std::size_t B>
+inline void clenshaw(const std::vector<double>& c, const double* x, double* out) {
+  double b1[B] = {};
+  double b2[B] = {};
+  for (std::size_t k = c.size(); k-- > 1;) {
+    for (std::size_t i = 0; i < B; ++i) {
+      const double b0 = c[k] + 2.0 * x[i] * b1[i] - b2[i];
+      b2[i] = b1[i];
+      b1[i] = b0;
+    }
+  }
+  for (std::size_t i = 0; i < B; ++i) out[i] = c[0] + x[i] * b1[i] - b2[i];
+}
+
+}  // namespace
+
 double ChebSeries::evaluate(double x) const {
   if (coeffs_.empty()) return 0.0;
-  // Clenshaw recurrence.
-  double b1 = 0.0, b2 = 0.0;
-  for (std::size_t k = coeffs_.size(); k-- > 1;) {
-    const double b0 = coeffs_[k] + 2.0 * x * b1 - b2;
-    b2 = b1;
-    b1 = b0;
-  }
-  return coeffs_[0] + x * b1 - b2;
+  double out;
+  clenshaw<1>(coeffs_, &x, &out);
+  return out;
 }
 
 std::vector<double> ChebSeries::evaluate(const std::vector<double>& xs) const {
-  std::vector<double> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = evaluate(xs[i]);
+  std::vector<double> out(xs.size(), 0.0);
+  if (coeffs_.empty()) return out;
+  std::size_t i = 0;
+  for (; i + kClenshawBlock <= xs.size(); i += kClenshawBlock) {
+    clenshaw<kClenshawBlock>(coeffs_, &xs[i], &out[i]);
+  }
+  for (; i < xs.size(); ++i) clenshaw<1>(coeffs_, &xs[i], &out[i]);
   return out;
 }
 
@@ -58,11 +81,12 @@ ChebSeries ChebSeries::parity_projected(Parity p) const {
 
 double ChebSeries::max_abs_on(double lo, double hi, int samples) const {
   expects(samples >= 2, "max_abs_on needs at least 2 samples");
-  double m = 0.0;
+  std::vector<double> xs(static_cast<std::size_t>(samples));
   for (int i = 0; i < samples; ++i) {
-    const double x = lo + (hi - lo) * i / (samples - 1);
-    m = std::fmax(m, std::fabs(evaluate(x)));
+    xs[static_cast<std::size_t>(i)] = lo + (hi - lo) * i / (samples - 1);
   }
+  double m = 0.0;
+  for (const double v : evaluate(xs)) m = std::fmax(m, std::fabs(v));
   return m;
 }
 
@@ -100,21 +124,26 @@ ChebSeries ChebSeries::operator*(const ChebSeries& other) const {
 
 ChebSeries cheb_interpolate(const std::function<double(double)>& f, int degree) {
   expects(degree >= 0, "cheb_interpolate: degree must be >= 0");
-  const int n = degree + 1;
+  const auto n = static_cast<std::size_t>(degree) + 1;
+  const auto cyc = cosine_cycle(static_cast<int>(4 * n));
   std::vector<double> fx(n);
-  for (int j = 0; j < n; ++j) {
-    const double x = std::cos(M_PI * (j + 0.5) / n);
-    fx[j] = f(x);
-  }
+  for (std::size_t j = 0; j < n; ++j) fx[j] = f(cyc[2 * j + 1]);
   std::vector<double> coeffs(n);
-  for (int k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     double s = 0.0;
-    for (int j = 0; j < n; ++j) {
-      s += fx[j] * std::cos(M_PI * k * (j + 0.5) / n);
-    }
-    coeffs[k] = (k == 0 ? 1.0 : 2.0) * s / n;
+    for (std::size_t j = 0; j < n; ++j) s += fx[j] * cyc[k * (2 * j + 1) % (4 * n)];
+    coeffs[k] = (k == 0 ? 1.0 : 2.0) * s / static_cast<double>(n);
   }
   return ChebSeries(std::move(coeffs));
+}
+
+std::vector<double> cosine_cycle(int period) {
+  expects(period >= 1, "cosine_cycle: period must be >= 1");
+  std::vector<double> cyc(static_cast<std::size_t>(period));
+  for (int r = 0; r < period; ++r) {
+    cyc[static_cast<std::size_t>(r)] = std::cos(2.0 * M_PI * r / period);
+  }
+  return cyc;
 }
 
 double chebyshev_t(int k, double x) {

@@ -24,7 +24,9 @@ class ChebSeries {
   /// Evaluate with the Clenshaw recurrence (numerically stable on [-1,1]).
   double evaluate(double x) const;
 
-  /// Evaluate at many points.
+  /// Evaluate at many points: blocks of points run their recurrences
+  /// interleaved, so no point waits on another's multiply-add latency.
+  /// Each point runs the scalar evaluate's arithmetic.
   std::vector<double> evaluate(const std::vector<double>& xs) const;
 
   /// Parity of the series: kOdd/kEven if all non-matching coefficients are
@@ -57,6 +59,13 @@ class ChebSeries {
 /// For f analytic the coefficients decay geometrically, so pairing this
 /// with ChebSeries::truncated gives near-minimal degrees.
 ChebSeries cheb_interpolate(const std::function<double(double)>& f, int degree);
+
+/// cos(2 pi r / period) for r = 0..period-1. At the n-point Gauss-Chebyshev
+/// nodes x_j = cos(pi (2j+1) / (2n)) — entry 2j+1 of the period-4n cycle —
+/// T_k(x_j) is entry k (2j+1) mod 4n: the argument reduction is exact
+/// integer arithmetic, and a quadrature needs 4n cosines instead of one
+/// per (k, j) pair.
+std::vector<double> cosine_cycle(int period);
 
 /// T_k(x) for a single k (hypot-stable for |x| <= 1 and beyond).
 double chebyshev_t(int k, double x);

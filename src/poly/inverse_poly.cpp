@@ -33,11 +33,15 @@ namespace {
 // error relative to the inverse target (log-spaced samples resolve the
 // boundary layer near 1/kappa).
 double measure_error(const ChebSeries& p, double kappa, int samples = 4001) {
-  double worst = 0.0;
+  std::vector<double> xs(static_cast<std::size_t>(samples));
   for (int i = 0; i < samples; ++i) {
     const double t = static_cast<double>(i) / (samples - 1);
-    const double x = std::pow(kappa, -(1.0 - t));  // 1/kappa .. 1
-    const double err = std::fabs(p.evaluate(x) - 1.0 / (2.0 * kappa * x));
+    xs[static_cast<std::size_t>(i)] = std::pow(kappa, -(1.0 - t));  // 1/kappa .. 1
+  }
+  const auto px = p.evaluate(xs);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double err = std::fabs(px[i] - 1.0 / (2.0 * kappa * xs[i]));
     worst = std::fmax(worst, 2.0 * kappa * err);
   }
   return worst;

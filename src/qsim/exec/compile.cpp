@@ -99,15 +99,21 @@ FusedOp lower(const Gate& g, UnitaryPayloads& unitaries) {
       if (shared.empty()) {
         const auto& m = *g.matrix;
         const std::size_t dim = m.rows();
-        std::vector<c64> payload(dim * dim);
-        for (std::size_t r = 0; r < dim; ++r) {
-          const std::uint64_t rr = remap_index(r, g.targets, op.targets);
-          for (std::size_t c = 0; c < dim; ++c) {
-            const std::uint64_t cc = remap_index(c, g.targets, op.targets);
-            payload[r * dim + c] = g.adjoint ? std::conj(m(cc, rr)) : m(rr, cc);
+        if (!g.adjoint && g.targets == op.targets) {
+          // Already adjoint-resolved and target-sorted: share the gate's
+          // matrix instead of copying it.
+          shared = SharedArray<c64>(g.matrix, m.data(), dim * dim);
+        } else {
+          std::vector<c64> payload(dim * dim);
+          for (std::size_t r = 0; r < dim; ++r) {
+            const std::uint64_t rr = remap_index(r, g.targets, op.targets);
+            for (std::size_t c = 0; c < dim; ++c) {
+              const std::uint64_t cc = remap_index(c, g.targets, op.targets);
+              payload[r * dim + c] = g.adjoint ? std::conj(m(cc, rr)) : m(rr, cc);
+            }
           }
+          shared = std::move(payload);
         }
-        shared = std::move(payload);
       }
       op.payload = shared;
       return op;

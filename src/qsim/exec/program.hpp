@@ -65,19 +65,27 @@ template <typename E>
 class SharedArray {
  public:
   SharedArray() = default;
-  SharedArray(std::vector<E> values)  // NOLINT(google-explicit-constructor)
-      : values_(std::make_shared<const std::vector<E>>(std::move(values))) {}
+  SharedArray(std::vector<E> values) {  // NOLINT(google-explicit-constructor)
+    auto owned = std::make_shared<const std::vector<E>>(std::move(values));
+    size_ = owned->size();
+    data_ = std::shared_ptr<const E>(owned, owned->data());
+  }
   SharedArray(std::initializer_list<E> values) : SharedArray(std::vector<E>(values)) {}
+  /// `size` entries at `data`, inside a buffer that `owner` keeps alive:
+  /// shares an array another object already holds instead of copying it.
+  SharedArray(std::shared_ptr<const void> owner, const E* data, std::size_t size)
+      : data_(std::move(owner), data), size_(size) {}
 
-  const E* data() const { return values_ ? values_->data() : nullptr; }
-  std::size_t size() const { return values_ ? values_->size() : 0; }
+  const E* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
   bool empty() const { return size() == 0; }
-  const E& operator[](std::size_t i) const { return (*values_)[i]; }
+  const E& operator[](std::size_t i) const { return data_.get()[i]; }
   const E* begin() const { return data(); }
   const E* end() const { return data() + size(); }
 
  private:
-  std::shared_ptr<const std::vector<E>> values_;
+  std::shared_ptr<const E> data_;
+  std::size_t size_ = 0;
 };
 
 enum class OpKind : std::uint8_t {

@@ -75,20 +75,10 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
   ctx.poly_scale = (max_abs > 0.9) ? 0.9 / max_abs : 1.0;
   ctx.target = ctx.target.scaled(ctx.poly_scale).parity_projected(poly::Parity::kOdd);
 
-  // Measured polynomial accuracy (before scaling) in the units of
-  // Theorem III.1's eps_l: max 2k|P - 1/(2kx)| over the domain.
-  {
-    double worst = 0.0;
-    const double kappa = ctx.kappa_effective;
-    for (int i = 0; i < 4001; ++i) {
-      const double t = static_cast<double>(i) / 4000.0;
-      const double x = std::pow(kappa, -(1.0 - t));
-      const double err =
-          std::fabs(ctx.target.evaluate(x) / ctx.poly_scale - 1.0 / (2.0 * kappa * x));
-      worst = std::fmax(worst, 2.0 * kappa * err);
-    }
-    ctx.eps_l_effective = worst;
-  }
+  // Measured polynomial accuracy in the units of Theorem III.1's eps_l:
+  // max 2k|P - 1/(2kx)| over the domain, already measured on the unscaled
+  // series by the fit.
+  ctx.eps_l_effective = ctx.inverse.achieved_error;
 
   if (options.backend == Backend::kGateLevel) {
     ctx.phases = qsp::solve_symmetric_qsp(ctx.target, options.qsp_options);
@@ -114,6 +104,11 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
     linalg::Vector<double> e0(ctx.A.rows(), 0.0);
     e0[0] = 1.0;
     ctx.sp_circuit_gates = stateprep::kp_state_preparation(e0).circuit.size();
+    // Gate-level solves replay the programs; only the matrix-function
+    // backend reads the singular vectors, so a cached gate-level context
+    // does not keep them.
+    ctx.svd.U = {};
+    ctx.svd.V = {};
   }
   ctx.prepare_classical_flops = flops.count();
   return ctx;

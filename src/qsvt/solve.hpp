@@ -90,7 +90,9 @@ inline constexpr PanelReplayForwarder kPanelReplayForwarder{};
 struct QsvtSolverContext {
   QsvtOptions options;
   linalg::Matrix<double> A;
-  linalg::Svd svd;                  ///< SVD of A (backend + kappa estimate)
+  /// SVD of A. U and V stay only in matrix-function contexts, the one
+  /// backend that reads them after prepare.
+  linalg::Svd svd;
   double kappa_effective = 0.0;     ///< kappa used for the polynomial
   blockenc::BlockEncoding be;       ///< block-encoding of A^T
   poly::InversePoly inverse;        ///< unwindowed inverse approximation

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 
 namespace mpqls::poly {
 namespace {
@@ -29,6 +30,40 @@ TEST(Chebyshev, ClenshawMatchesDirectSum) {
     double direct = 0.0;
     for (int k = 0; k <= p.degree(); ++k) direct += p.coeffs()[k] * chebyshev_t(k, x);
     EXPECT_NEAR(p.evaluate(x), direct, 1e-14) << x;
+  }
+}
+
+TEST(Chebyshev, BatchedEvaluateMatchesScalar) {
+  // 37 points: four full Clenshaw blocks and a ragged tail.
+  Xoshiro256 rng(3);
+  std::vector<double> xs(37);
+  for (auto& x : xs) x = rng.uniform(-1.0, 1.0);
+  xs.front() = -1.0;
+  xs.back() = 1.0;
+  for (int d = 1; d <= 500; ++d) {
+    std::vector<double> coeffs(d + 1);
+    for (auto& c : coeffs) c = rng.uniform(-1.0, 1.0);
+    const ChebSeries p(std::move(coeffs));
+    const auto batched = p.evaluate(xs);
+    ASSERT_EQ(batched.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double scalar = p.evaluate(xs[i]);
+      EXPECT_LE(std::fabs(batched[i] - scalar), 1e-15 * std::fabs(scalar))
+          << "d=" << d << " x=" << xs[i];
+    }
+  }
+  EXPECT_TRUE(ChebSeries().evaluate(xs) == std::vector<double>(xs.size(), 0.0));
+}
+
+TEST(Chebyshev, CosineCycleIndexesChebyshevNodes) {
+  const int n = 7;
+  const auto cyc = cosine_cycle(4 * n);
+  for (int j = 0; j < n; ++j) {
+    const double x = std::cos(M_PI * (j + 0.5) / n);
+    EXPECT_NEAR(cyc[2 * j + 1], x, 1e-15) << j;
+    for (int k = 0; k <= 3 * n; ++k) {
+      EXPECT_NEAR(cyc[k * (2 * j + 1) % (4 * n)], chebyshev_t(k, x), 1e-13) << k << " " << j;
+    }
   }
 }
 

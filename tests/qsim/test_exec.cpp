@@ -264,6 +264,29 @@ void expect_one_offset_table_per_target_set(const std::vector<qsim::exec::Compil
   EXPECT_EQ(test::distinct_dense_arrays(ops, &Op::offsets).size(), masks.size());
 }
 
+TEST(Exec, SortedUnitaryPayloadIsTheGateMatrix) {
+  // A unitary already on ascending targets lowers to the gate's own matrix
+  // by reference, so a prepared context holds one copy of its block
+  // encoding; the adjoint applications share one resolved copy. The IR
+  // keeps the matrix alive after the circuit is gone, and sharing changes
+  // no value.
+  Xoshiro256 rng(49);
+  const auto u = test::random_unitary(rng, 16);
+  const std::vector<std::uint32_t> targets = {0, 1, 3, 4};
+  const auto ir_separate =
+      qsim::exec::lower_and_fuse(test::alternating_unitary(5, targets, u, 2, 6, false));
+  qsim::exec::FusedIr ir;
+  {
+    const auto c = test::alternating_unitary(5, targets, u, 2, 6, true);
+    ir = qsim::exec::lower_and_fuse(c);
+    const auto arrays = test::distinct_dense_arrays(ir.ops, &qsim::exec::FusedOp::payload);
+    EXPECT_EQ(arrays.size(), 2u);
+    EXPECT_EQ(arrays.count(c.gates().front().matrix->data()), 1u);
+  }
+  expect_bitwise_equal(replay_two_lanes(qsim::exec::specialize<double>(ir)),
+                       replay_two_lanes(qsim::exec::specialize<double>(ir_separate)));
+}
+
 TEST(Exec, DenseOpsShareOffsetTables) {
   // Six applications of U on one target set plus one fused window: two
   // gather-offset tables per program, however many ops use them.
