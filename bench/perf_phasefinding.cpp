@@ -9,9 +9,16 @@
 // the FPI and Newton iteration counts and the node residual beside the
 // time, so a change to the solver shows whether it moved the work or the
 // convergence.
+//
+// BM_JacobiSvd and BM_DenseEmbedding time the classical steps of the same
+// prepare chain at those sizes: the one SVD of A, and the encoding of A^T
+// from A's factors, swapped, as prepare_qsvt_solver builds it.
 #include <benchmark/benchmark.h>
 
+#include "blockenc/dense_embedding.hpp"
 #include "common/rng.hpp"
+#include "linalg/blas.hpp"
+#include "linalg/jacobi_svd.hpp"
 #include "linalg/random_matrix.hpp"
 #include "poly/inverse_poly.hpp"
 #include "qsp/symmetric_qsp.hpp"
@@ -58,6 +65,37 @@ void BM_PhaseFindingProductionTarget(benchmark::State& state) {
 }
 BENCHMARK(BM_PhaseFindingProductionTarget)->Args({64, 20})->Args({128, 30})
     ->Unit(benchmark::kMillisecond);
+
+linalg::Matrix<double> production_matrix(std::size_t n) {
+  Xoshiro256 rng(1);
+  return linalg::random_with_cond(rng, n, n == 64 ? 20.0 : 30.0);
+}
+
+void BM_JacobiSvd(benchmark::State& state) {
+  const auto A = production_matrix(static_cast<std::size_t>(state.range(0)));
+  linalg::Svd svd;
+  for (auto _ : state) {
+    svd = linalg::jacobi_svd(A);
+    benchmark::DoNotOptimize(svd);
+  }
+  state.counters["sweeps"] = svd.sweeps;
+}
+BENCHMARK(BM_JacobiSvd)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+void BM_DenseEmbedding(benchmark::State& state) {
+  const auto A = production_matrix(static_cast<std::size_t>(state.range(0)));
+  const auto svd = linalg::jacobi_svd(A);
+  linalg::Svd transposed;
+  transposed.U = svd.V;
+  transposed.V = svd.U;
+  transposed.sigma = svd.sigma;
+  const auto At = linalg::transpose(A);
+  for (auto _ : state) {
+    auto be = blockenc::dense_embedding(At, transposed);
+    benchmark::DoNotOptimize(be);
+  }
+}
+BENCHMARK(BM_DenseEmbedding)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_ResponseEvaluation(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));

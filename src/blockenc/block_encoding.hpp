@@ -20,7 +20,6 @@ struct BlockEncoding {
   std::uint32_t n_anc = 0;
   double alpha = 1.0;         ///< subnormalization factor
   std::string method;         ///< "dense-embedding", "lcu-pauli", ...
-  std::uint64_t classical_flops = 0;  ///< preprocessing cost on the CPU
 
   std::uint32_t total_qubits() const { return n_data + n_anc; }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "linalg/flops.hpp"
 #include "stateprep/kp_tree.hpp"
 
 namespace mpqls::blockenc {
@@ -30,7 +29,6 @@ BlockEncoding lcu_block_encoding(const std::vector<PauliTerm>& terms, std::uint3
   std::vector<double> amps(slots, 0.0);
   for (std::size_t j = 0; j < L; ++j) amps[j] = std::sqrt(std::abs(terms[j].coefficient) / alpha);
   const auto prep = stateprep::kp_state_preparation(amps);
-  be.classical_flops += prep.classical_flops;
 
   std::vector<std::uint32_t> anc_map(m);
   for (std::uint32_t b = 0; b < m; ++b) anc_map[b] = n_data + b;
@@ -60,11 +58,7 @@ BlockEncoding lcu_block_encoding(const std::vector<PauliTerm>& terms, std::uint3
 BlockEncoding lcu_block_encoding(const linalg::Matrix<double>& A, double prune_tol) {
   expects(std::has_single_bit(A.rows()), "lcu: dimension must be 2^n");
   const auto n = static_cast<std::uint32_t>(std::countr_zero(A.rows()));
-  linalg::FlopScope flops;
-  const auto terms = tree_pauli_decompose(A, prune_tol);
-  auto be = lcu_block_encoding(terms, n);
-  be.classical_flops += flops.count() + 4ull * A.rows() * A.cols();  // decomposition work
-  return be;
+  return lcu_block_encoding(tree_pauli_decompose(A, prune_tol), n);
 }
 
 }  // namespace mpqls::blockenc

@@ -34,7 +34,6 @@ BlockEncoding tridiagonal_block_encoding(std::uint32_t n_data) {
   const std::vector<double> amps = {std::sqrt(0.3), std::sqrt(0.2), std::sqrt(0.2),
                                     std::sqrt(0.2), std::sqrt(0.1), 0.0, 0.0, 0.0};
   const auto prep = stateprep::kp_state_preparation(amps);
-  be.classical_flops += prep.classical_flops;
   const std::vector<std::uint32_t> anc_map = {a0, a1, a2};
   be.circuit.append(prep.circuit, anc_map);
 

@@ -9,9 +9,25 @@
 #include <numeric>
 
 #include "common/contracts.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mpqls::linalg {
+
+namespace detail {
+
+/// (x, y) <- (c x - s y, s x + c y) over `len` contiguous entries.
+inline void rotate_rows(double* x, double* y, std::size_t len, double c, double s) {
+#pragma omp simd
+  for (std::size_t i = 0; i < len; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
+}  // namespace detail
 
 struct Svd {
   Matrix<double> U;        ///< m x n, orthonormal columns
@@ -21,26 +37,32 @@ struct Svd {
 };
 
 /// A = U diag(sigma) V^T for an m x n real matrix with m >= n.
-inline Svd jacobi_svd(Matrix<double> A, double tol = 1e-15, int max_sweeps = 60) {
+inline Svd jacobi_svd(const Matrix<double>& A, double tol = 1e-15, int max_sweeps = 60) {
   const std::size_t m = A.rows();
   const std::size_t n = A.cols();
   expects(m >= n, "jacobi_svd: requires rows >= cols");
 
-  Matrix<double> V = Matrix<double>::identity(n);
+  // One-sided Jacobi: orthogonalize pairs of columns of A by plane
+  // rotations applied on the right; V accumulates the rotations. Both are
+  // swept transposed, so column j of A (and of V) is the contiguous row j
+  // of At (and Vt) and every dot product and rotation is a unit-stride loop.
+  Matrix<double> At = transpose(A);
+  Matrix<double> Vt = Matrix<double>::identity(n);
   Svd out;
 
-  // One-sided Jacobi: orthogonalize pairs of columns of A by plane
-  // rotations applied on the right; V accumulates the rotations.
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool converged = true;
     out.sweeps = sweep + 1;
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
+        double* ap = At.row(p);
+        double* aq = At.row(q);
         double app = 0.0, aqq = 0.0, apq = 0.0;
+#pragma omp simd reduction(+ : app, aqq, apq)
         for (std::size_t i = 0; i < m; ++i) {
-          app += A(i, p) * A(i, p);
-          aqq += A(i, q) * A(i, q);
-          apq += A(i, p) * A(i, q);
+          app += ap[i] * ap[i];
+          aqq += aq[i] * aq[i];
+          apq += ap[i] * aq[i];
         }
         if (std::fabs(apq) <= tol * std::sqrt(app * aqq) || apq == 0.0) continue;
         converged = false;
@@ -49,28 +71,20 @@ inline Svd jacobi_svd(Matrix<double> A, double tol = 1e-15, int max_sweeps = 60)
                          (std::fabs(theta) + std::sqrt(1.0 + theta * theta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = t * c;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double aip = A(i, p);
-          const double aiq = A(i, q);
-          A(i, p) = c * aip - s * aiq;
-          A(i, q) = s * aip + c * aiq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const double vip = V(i, p);
-          const double viq = V(i, q);
-          V(i, p) = c * vip - s * viq;
-          V(i, q) = s * vip + c * viq;
-        }
+        detail::rotate_rows(ap, aq, m, c, s);
+        detail::rotate_rows(Vt.row(p), Vt.row(q), n, c, s);
       }
     }
     if (converged) break;
   }
 
-  // Column norms are the singular values; normalize columns into U.
+  // Row norms of At are the singular values; normalize rows into U.
   Vector<double> sigma(n);
   for (std::size_t j = 0; j < n; ++j) {
+    const double* aj = At.row(j);
     double s = 0.0;
-    for (std::size_t i = 0; i < m; ++i) s += A(i, j) * A(i, j);
+#pragma omp simd reduction(+ : s)
+    for (std::size_t i = 0; i < m; ++i) s += aj[i] * aj[i];
     sigma[j] = std::sqrt(s);
   }
   std::vector<std::size_t> idx(n);
@@ -85,20 +99,17 @@ inline Svd jacobi_svd(Matrix<double> A, double tol = 1e-15, int max_sweeps = 60)
     const std::size_t k = idx[j];
     out.sigma[j] = sigma[k];
     const double inv = (sigma[k] > 0.0) ? 1.0 / sigma[k] : 0.0;
-    for (std::size_t i = 0; i < m; ++i) out.U(i, j) = A(i, k) * inv;
-    for (std::size_t i = 0; i < n; ++i) out.V(i, j) = V(i, k);
+    const double* ak = At.row(k);
+    const double* vk = Vt.row(k);
+    for (std::size_t i = 0; i < m; ++i) out.U(i, j) = ak[i] * inv;
+    for (std::size_t i = 0; i < n; ++i) out.V(i, j) = vk[i];
   }
   return out;
 }
 
 /// Spectral norm ||A||_2 (largest singular value).
 inline double norm2(const Matrix<double>& A) {
-  if (A.rows() >= A.cols()) return jacobi_svd(A).sigma.front();
-  Matrix<double> At(A.cols(), A.rows());
-  for (std::size_t i = 0; i < A.rows(); ++i) {
-    for (std::size_t j = 0; j < A.cols(); ++j) At(j, i) = A(i, j);
-  }
-  return jacobi_svd(At).sigma.front();
+  return jacobi_svd(A.rows() >= A.cols() ? A : transpose(A)).sigma.front();
 }
 
 /// 2-norm condition number sigma_max / sigma_min.

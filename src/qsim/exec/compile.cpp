@@ -6,7 +6,7 @@
 #include <complex>
 #include <map>
 #include <span>
-#include <tuple>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -47,13 +47,14 @@ std::uint64_t remap_index(std::uint64_t s, const std::vector<std::uint32_t>& ori
   return out;
 }
 
-// The matrices lowered so far, by (gate matrix, adjoint, target order):
-// every application of one unitary gate gets the same array.
-using UnitaryKey = std::tuple<const void*, bool, std::vector<std::uint32_t>>;
+// The matrices lowered so far, by (gate matrix, target order): every
+// application of one unitary gate, adjoint or not, gets the same array.
+using UnitaryKey = std::pair<const void*, std::vector<std::uint32_t>>;
 using UnitaryPayloads = std::map<UnitaryKey, SharedArray<c64>>;
 
-// Lower one gate into a node: payload materialized in double, adjoint
-// resolved, targets ascending, controls as masks.
+// Lower one gate into a node: payload materialized in double, targets
+// ascending, controls as masks. Adjoints are resolved, except that an
+// adjoint unitary shares the gate's array and sets the op's flag.
 FusedOp lower(const Gate& g, UnitaryPayloads& unitaries) {
   FusedOp op;
   for (auto q : g.controls) op.pos_mask |= bit_of(q);
@@ -95,21 +96,21 @@ FusedOp lower(const Gate& g, UnitaryPayloads& unitaries) {
       op.kind = OpKind::kDense;
       op.targets = g.targets;
       std::sort(op.targets.begin(), op.targets.end());
-      SharedArray<c64>& shared = unitaries[UnitaryKey{g.matrix.get(), g.adjoint, g.targets}];
+      op.adjoint = g.adjoint;
+      SharedArray<c64>& shared = unitaries[UnitaryKey{g.matrix.get(), g.targets}];
       if (shared.empty()) {
         const auto& m = *g.matrix;
         const std::size_t dim = m.rows();
-        if (!g.adjoint && g.targets == op.targets) {
-          // Already adjoint-resolved and target-sorted: share the gate's
-          // matrix instead of copying it.
+        if (g.targets == op.targets) {
+          // Already target-sorted: share the gate's matrix instead of
+          // copying it.
           shared = SharedArray<c64>(g.matrix, m.data(), dim * dim);
         } else {
           std::vector<c64> payload(dim * dim);
           for (std::size_t r = 0; r < dim; ++r) {
             const std::uint64_t rr = remap_index(r, g.targets, op.targets);
             for (std::size_t c = 0; c < dim; ++c) {
-              const std::uint64_t cc = remap_index(c, g.targets, op.targets);
-              payload[r * dim + c] = g.adjoint ? std::conj(m(cc, rr)) : m(rr, cc);
+              payload[r * dim + c] = m(rr, remap_index(c, g.targets, op.targets));
             }
           }
           shared = std::move(payload);
@@ -197,7 +198,7 @@ std::vector<c64> embed(const FusedOp& op, const std::vector<std::uint32_t>& qubi
       case OpKind::kApply1q:
       case OpKind::kDense:
         for (std::size_t r = 0; r < sub_dim; ++r) {
-          const c64 v = op.payload[r * sub_dim + sub];
+          const c64 v = op.entry(r, sub);
           if (v == c64{}) continue;
           std::size_t row = col;
           for (std::size_t t = 0; t < tpos.size(); ++t) {

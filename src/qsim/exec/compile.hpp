@@ -11,7 +11,9 @@
 
 #include <complex>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -31,24 +33,25 @@ struct CompileOptions {
 
 /// Passes 1-2: lower gates to adjoint-resolved, target-sorted matrix ops
 /// and fuse neighbours. Deterministic; no precision loss (all double).
-/// Dense ops lowered from `unitary` gates with the same matrix object,
-/// adjoint flag and target order share one payload array.
+/// Dense ops lowered from `unitary` gates with the same matrix object and
+/// target order share one payload array; adjoint applications flag it.
 FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {});
 
 /// What one program has specialized so far, shared by all of its ops so
 /// that a program holds one copy of each. Dense planes are keyed by the
-/// source matrix's `payload.data()`: every op that shares a source matrix
-/// shares its planes, and a program rounds each distinct matrix once. The
-/// keys stay valid because the IR or plan being specialized owns every
-/// source array for as long as the memo is used. Gather-offset tables are
-/// keyed by the op's target mask (sorted targets determine the table).
+/// source matrix's `payload.data()` and the op's `adjoint` flag: every op
+/// that applies the same matrix the same way shares its planes, and a
+/// program rounds each distinct (matrix, adjoint) pair once. The keys stay
+/// valid because the IR or plan being specialized owns every source array
+/// for as long as the memo is used. Gather-offset tables are keyed by the
+/// op's target mask (sorted targets determine the table).
 template <typename T>
 struct DensePlanes {
   SharedArray<exec_compute_t<T>> re, im;
 };
 template <typename T>
 struct OpMemo {
-  std::unordered_map<const std::complex<double>*, DensePlanes<T>> planes;
+  std::map<std::pair<const std::complex<double>*, bool>, DensePlanes<T>> planes;
   std::unordered_map<std::uint64_t, SharedArray<std::uint64_t>> offsets;
 };
 
@@ -56,9 +59,11 @@ struct OpMemo {
 /// hold it in the compute precision — identity for float/double,
 /// binary16-round-then-widen-to-float for f16) and precompute its kernel
 /// tables. Dense ops take their planes and gather offsets from `memo`,
-/// building each only on its first use; a dense matrix whose imaginary
-/// entries all round to zero gets no imaginary plane, which routes it to
-/// the real kernels. Diagonal ops keep the interleaved entries.
+/// building each only on its first use; an adjoint op's planes hold the
+/// conjugate transpose, the matrix it applies. A dense matrix whose
+/// imaginary entries all round to zero gets no imaginary plane, which
+/// routes it to the real kernels. Diagonal ops keep the interleaved
+/// entries.
 template <typename T>
 CompiledOp<T> specialize_op(const FusedOp& op, OpMemo<T>& memo) {
   using C = exec_compute_t<T>;
@@ -116,16 +121,20 @@ CompiledOp<T> specialize_op(const FusedOp& op, OpMemo<T>& memo) {
         offsets = std::move(table);
       }
       c.offsets = offsets;
-      const auto [it, fresh] = memo.planes.try_emplace(payload.data());
+      const auto [it, fresh] = memo.planes.try_emplace({payload.data(), op.adjoint});
       if (fresh) {
+        const std::size_t dim = std::size_t{1} << c.num_targets;
         std::vector<C> re, im;
         re.reserve(payload.size());
         im.reserve(payload.size());
         bool real = true;
-        for (const auto& v : payload) {
-          re.push_back(qround(v.real()));
-          im.push_back(qround(v.imag()));
-          real = real && im.back() == C{};
+        for (std::size_t r = 0; r < dim; ++r) {
+          for (std::size_t col = 0; col < dim; ++col) {
+            const std::complex<double> v = op.entry(r, col);
+            re.push_back(qround(v.real()));
+            im.push_back(qround(v.imag()));
+            real = real && im.back() == C{};
+          }
         }
         it->second.re = std::move(re);
         if (!real) it->second.im = std::move(im);

@@ -43,7 +43,7 @@ bool payload_is_diagonal(const FusedOp& op) {
   const std::size_t dim = std::size_t{1} << op.targets.size();
   for (std::size_t r = 0; r < dim; ++r) {
     for (std::size_t c = 0; c < dim; ++c) {
-      if (r != c && op.payload[r * dim + c] != c64{}) return false;
+      if (r != c && op.entry(r, c) != c64{}) return false;
     }
   }
   return true;
@@ -59,10 +59,11 @@ FusedOp demote_to_diagonal(FusedOp op) {
   } else {
     const std::size_t dim = std::size_t{1} << op.targets.size();
     std::vector<c64> diag(dim);
-    for (std::size_t r = 0; r < dim; ++r) diag[r] = op.payload[r * dim + r];
+    for (std::size_t r = 0; r < dim; ++r) diag[r] = op.entry(r, r);
     op.payload = std::move(diag);
   }
   op.kind = OpKind::kDiagonal;
+  op.adjoint = false;
   return op;
 }
 

@@ -95,9 +95,10 @@ enum class OpKind : std::uint8_t {
   kGlobalPhase,  ///< scalar multiplication of the whole register
 };
 
-/// One op of the precision-agnostic fused IR. Matrices are adjoint-resolved
-/// and target-sorted; controls that did not fold into a fused matrix remain
-/// as bit masks. `source_gates` counts the circuit gates this op absorbs.
+/// One op of the precision-agnostic fused IR. Matrices are target-sorted
+/// and, except for a dense op's `adjoint` flag, adjoint-resolved; controls
+/// that did not fold into a fused matrix remain as bit masks.
+/// `source_gates` counts the circuit gates this op absorbs.
 struct FusedOp {
   OpKind kind = OpKind::kApply1q;
   std::uint64_t pos_mask = 0;  ///< fire when all these bits are 1
@@ -105,10 +106,19 @@ struct FusedOp {
   std::vector<std::uint32_t> targets;  ///< sorted ascending
   /// kApply1q: 4 row-major entries; kDense: 2^k * 2^k row-major;
   /// kDiagonal: 2^k entries; kGlobalPhase: 1 entry (the scalar). Every
-  /// dense op lowered from one `unitary` gate (same matrix, adjoint flag
-  /// and target order) shares one array.
+  /// dense op lowered from one `unitary` gate (same matrix and target
+  /// order) shares one array, its adjoint applications included.
   SharedArray<std::complex<double>> payload;
+  /// kDense only: the op applies the conjugate transpose of `payload`.
+  /// Read entries through `entry`, which resolves it.
+  bool adjoint = false;
   std::uint64_t source_gates = 1;
+
+  /// Entry (r, c) of the matrix a kApply1q/kDense op applies.
+  std::complex<double> entry(std::size_t r, std::size_t c) const {
+    const std::size_t dim = std::size_t{1} << targets.size();
+    return adjoint ? std::conj(payload[c * dim + r]) : payload[r * dim + c];
+  }
 };
 
 struct ProgramStats {

@@ -11,7 +11,6 @@
 #include "common/contracts.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/flops.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/statevector.hpp"
@@ -24,7 +23,6 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
   QsvtSolverContext ctx;
   ctx.options = options;
 
-  linalg::FlopScope flops;
   ctx.A = std::move(A);
   ctx.svd = linalg::jacobi_svd(ctx.A);
   expects(ctx.svd.sigma.back() > 0.0, "qsvt solver: singular matrix");
@@ -34,9 +32,23 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
   // kappa_be = alpha / sigma_min — which exceeds kappa(A) whenever the
   // encoding's subnormalization alpha is above ||A||_2 (LCU, tridiagonal).
   switch (options.encoding) {
-    case EncodingKind::kDenseEmbedding:
-      ctx.be = blockenc::dense_embedding(linalg::transpose(ctx.A));
+    case EncodingKind::kDenseEmbedding: {
+      // A^T = V Sigma U^T: encode from A's factors, swapped, instead of
+      // decomposing A^T again. Only the matrix-function backend reads the
+      // singular vectors after prepare, so a gate-level context hands them
+      // over rather than copying them.
+      linalg::Svd transposed;
+      transposed.sigma = ctx.svd.sigma;
+      if (options.backend == Backend::kMatrixFunction) {
+        transposed.U = ctx.svd.V;
+        transposed.V = ctx.svd.U;
+      } else {
+        transposed.U = std::move(ctx.svd.V);
+        transposed.V = std::move(ctx.svd.U);
+      }
+      ctx.be = blockenc::dense_embedding(linalg::transpose(ctx.A), transposed);
       break;
+    }
     case EncodingKind::kLcuPauli:
       ctx.be = blockenc::lcu_block_encoding(linalg::transpose(ctx.A));
       break;
@@ -110,7 +122,6 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
     ctx.svd.U = {};
     ctx.svd.V = {};
   }
-  ctx.prepare_classical_flops = flops.count();
   return ctx;
 }
 

@@ -120,7 +120,6 @@ struct QsvtSolverContext {
   /// register (the circuit applied to |0…0> is exactly that embedding)
   /// and reports these gates without rebuilding the circuit per solve.
   std::uint64_t sp_circuit_gates = 0;
-  std::uint64_t prepare_classical_flops = 0;
 };
 
 /// Stats of the context's compiled program (nullptr for the matrix-function

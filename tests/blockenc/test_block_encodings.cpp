@@ -11,6 +11,7 @@
 #include "linalg/jacobi_svd.hpp"
 #include "linalg/random_matrix.hpp"
 #include "qsim/statevector.hpp"
+#include "qsvt/solve.hpp"
 
 namespace mpqls::blockenc {
 namespace {
@@ -61,6 +62,52 @@ TEST(DenseEmbedding, NonSymmetricMatrix) {
   const auto be = dense_embedding(A);
   EXPECT_LT(block_error(be, A), 1e-10);
   expect_unitary(be);
+}
+
+/// The one dense unitary a dense embedding's circuit applies.
+const Matrix<qsim::c64>& embedded_unitary(const BlockEncoding& be) {
+  return *be.circuit.gates().front().matrix;
+}
+
+TEST(DenseEmbedding, GivenSvdIsBitwiseTheComputedOne) {
+  Xoshiro256 rng(3);
+  const auto A = linalg::random_with_cond(rng, 16, 20.0);
+  const auto own = dense_embedding(A);
+  const auto given = dense_embedding(A, linalg::jacobi_svd(A));
+  EXPECT_EQ(given.alpha, own.alpha);
+  EXPECT_TRUE(embedded_unitary(given) == embedded_unitary(own));
+}
+
+TEST(DenseEmbedding, SolverEncodesTransposeFromItsOwnSvd) {
+  // prepare_qsvt_solver encodes A^T from A's factors, swapped; the result
+  // matches an encoding that decomposes A^T itself, and its unitary is
+  // orthogonal. Gate-level contexts hand the factors over, matrix-function
+  // contexts keep them.
+  Xoshiro256 rng(4);
+  const auto A = linalg::random_with_cond(rng, 64, 20.0);
+  const auto standalone = dense_embedding(linalg::transpose(A));
+  for (const auto backend : {qsvt::Backend::kGateLevel, qsvt::Backend::kMatrixFunction}) {
+    qsvt::QsvtOptions options;
+    options.backend = backend;
+    options.eps_l = 5e-2;
+    const auto ctx = qsvt::prepare_qsvt_solver(A, options);
+    const auto& U = embedded_unitary(ctx.be);
+    EXPECT_NEAR(ctx.be.alpha, standalone.alpha, 1e-12);
+    EXPECT_LT(linalg::max_abs_diff(U, embedded_unitary(standalone)), 1e-12);
+    EXPECT_LT(linalg::max_abs_diff(linalg::gemm(linalg::transpose(U), U),
+                                   Matrix<qsim::c64>::identity(U.rows())),
+              1e-12);
+    if (backend == qsvt::Backend::kMatrixFunction) {
+      Matrix<double> US = ctx.svd.U;
+      for (std::size_t i = 0; i < 64; ++i) {
+        for (std::size_t j = 0; j < 64; ++j) US(i, j) *= ctx.svd.sigma[j];
+      }
+      EXPECT_LT(linalg::max_abs_diff(linalg::gemm(US, linalg::transpose(ctx.svd.V)), A), 1e-12);
+    } else {
+      EXPECT_EQ(ctx.svd.U.rows(), 0u);
+      EXPECT_EQ(ctx.svd.V.rows(), 0u);
+    }
+  }
 }
 
 TEST(PauliDecompose, ExactReconstruction) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
@@ -53,6 +54,23 @@ TEST(JacobiEig, PoissonSpectrumMatchesAnalytic) {
   }
 }
 
+/// Max deviation of U^T U, V^T V from the identity and of U diag(sigma)
+/// V^T from A.
+struct SvdErrors {
+  double u_orth, v_orth, reconstruction;
+};
+
+SvdErrors svd_errors(const Matrix<double>& A, const Svd& s) {
+  const std::size_t n = A.cols();
+  Matrix<double> US(A.rows(), n);
+  for (std::size_t i = 0; i < A.rows(); ++i) {
+    for (std::size_t j = 0; j < n; ++j) US(i, j) = s.U(i, j) * s.sigma[j];
+  }
+  return {max_abs_diff(gemm(transpose(s.U), s.U), Matrix<double>::identity(n)),
+          max_abs_diff(gemm(transpose(s.V), s.V), Matrix<double>::identity(n)),
+          max_abs_diff(gemm(US, transpose(s.V)), A)};
+}
+
 TEST(JacobiSvd, ReconstructsMatrix) {
   Xoshiro256 rng(10);
   const auto A = random_gaussian(rng, 9, 6);
@@ -65,11 +83,19 @@ TEST(JacobiSvd, ReconstructsMatrix) {
 }
 
 TEST(JacobiSvd, OrthonormalFactors) {
+  // Square and tall inputs: U has orthonormal columns, V is orthogonal.
   Xoshiro256 rng(11);
-  const auto A = random_gaussian(rng, 8, 8);
-  const auto s = jacobi_svd(A);
-  EXPECT_LT(max_abs_diff(gemm(transpose(s.U), s.U), Matrix<double>::identity(8)), 1e-12);
-  EXPECT_LT(max_abs_diff(gemm(transpose(s.V), s.V), Matrix<double>::identity(8)), 1e-12);
+  for (const auto [m, n] : {std::pair<std::size_t, std::size_t>{8, 8}, {40, 17}}) {
+    const auto A = random_gaussian(rng, m, n);
+    const auto s = jacobi_svd(A);
+    ASSERT_EQ(s.U.rows(), m);
+    ASSERT_EQ(s.U.cols(), n);
+    ASSERT_EQ(s.V.rows(), n);
+    const auto e = svd_errors(A, s);
+    EXPECT_LT(e.u_orth, 1e-12) << m << "x" << n;
+    EXPECT_LT(e.v_orth, 1e-12) << m << "x" << n;
+    EXPECT_LT(e.reconstruction, 1e-12) << m << "x" << n;
+  }
 }
 
 TEST(JacobiSvd, SingularValuesSortedNonnegative) {
@@ -84,11 +110,44 @@ TEST(JacobiSvd, SingularValuesSortedNonnegative) {
 
 TEST(JacobiSvd, RecoversPrescribedConditionNumber) {
   Xoshiro256 rng(13);
-  for (double kappa : {2.0, 10.0, 100.0, 1e4}) {
+  for (double kappa : {2.0, 10.0, 100.0, 1e4, 1e8}) {
     const auto A = random_with_cond(rng, 16, kappa);
     EXPECT_NEAR(cond2(A) / kappa, 1.0, 1e-8) << "kappa=" << kappa;
     EXPECT_NEAR(norm2(A), 1.0, 1e-10);
+    const auto e = svd_errors(A, jacobi_svd(A));
+    EXPECT_LT(e.u_orth, 1e-12) << "kappa=" << kappa;
+    EXPECT_LT(e.v_orth, 1e-12) << "kappa=" << kappa;
+    EXPECT_LT(e.reconstruction, 1e-12) << "kappa=" << kappa;
   }
+}
+
+TEST(JacobiSvd, ZeroColumnGivesZeroSigmaAndFiniteFactors) {
+  Xoshiro256 rng(16);
+  auto A = random_gaussian(rng, 8, 6);
+  for (std::size_t i = 0; i < 8; ++i) A(i, 2) = 0.0;
+  const auto s = jacobi_svd(A);
+  EXPECT_EQ(s.sigma.back(), 0.0);
+  EXPECT_GT(s.sigma[4], 0.0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) EXPECT_TRUE(std::isfinite(s.U(i, j)));
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) EXPECT_TRUE(std::isfinite(s.V(i, j)));
+  }
+  const auto e = svd_errors(A, s);
+  EXPECT_LT(e.v_orth, 1e-12);
+  EXPECT_LT(e.reconstruction, 1e-12);
+}
+
+TEST(JacobiSvd, RepeatedCallsAreBitwiseIdentical) {
+  Xoshiro256 rng(17);
+  const auto A = random_with_cond(rng, 64, 20.0);
+  const auto a = jacobi_svd(A);
+  const auto b = jacobi_svd(A);
+  EXPECT_EQ(a.sweeps, b.sweeps);
+  EXPECT_TRUE(a.sigma == b.sigma);
+  EXPECT_TRUE(a.U == b.U);
+  EXPECT_TRUE(a.V == b.V);
 }
 
 TEST(JacobiSvd, HighRelativeAccuracyOnTinySigma) {

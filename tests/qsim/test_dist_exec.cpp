@@ -8,8 +8,8 @@
 // partition-qubit targets. Also the shard-panel reductions, the lane cap
 // that keeps exchange frames under the HTTP body cap, and the group's
 // agreement on that cap when ranks run with different ones. Rank programs
-// share their dense planes, and programs copied out of a ProgramSet
-// outlive it.
+// share their dense planes, an adjoint dense op demotes to its conjugate
+// diagonal, and programs copied out of a ProgramSet outlive it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -364,14 +364,14 @@ void expect_shards_equal_panel(const std::vector<StatePanel<T>>& shards,
 TEST(DistExec, RankProgramsShareTheirDensePlanes) {
   // U, U-dagger, ... six times on 4 of 5 qubits, one of them the
   // partition qubit at W=2, so every application is an exchange op. The
-  // plan keeps the IR's two matrices, and each rank program rounds each
-  // once.
+  // plan keeps the IR's one matrix (U-dagger flags it), and each rank
+  // program rounds U and U-dagger once each.
   Xoshiro256 rng(24);
   const auto u = test::random_unitary(rng, 16);
   const auto c = test::alternating_unitary(5, {4, 0, 2, 1}, u, 3, 6, true);
   const auto ir = lower_and_fuse(c);
   const auto plan = dist::build_exchange_plan(ir, 1);
-  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &FusedOp::payload).size(), 2u);
+  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &FusedOp::payload).size(), 1u);
   std::set<const void*> plan_arrays;
   for (const auto& p : plan.ops) {
     if (p.op.kind == OpKind::kDense) plan_arrays.insert(p.op.payload.data());
@@ -402,6 +402,24 @@ TEST(DistExec, RankProgramsShareTheirDensePlanes) {
     expect_dist_matches_panel<double>(ir, 1, init);
     expect_dist_matches_panel<float>(ir, 1, init);
   }
+}
+
+TEST(DistExec, AdjointDiagonalUnitaryDemotesToItsConjugate) {
+  // A dense unitary that is exactly diagonal, applied as its adjoint with
+  // a partition-qubit target: the plan demotes it to a diagonal op, which
+  // must carry the conjugated entries the flag asks for.
+  linalg::Matrix<c64> d(4, 4);
+  for (std::size_t i = 0; i < 4; ++i) d(i, i) = std::exp(c64(0.0, 0.4 + 0.7 * i));
+  qsim::Circuit once(4);
+  once.unitary({1, 3}, d);
+  qsim::Circuit c(4);
+  c.append(once).h(0).append(once.dagger()).append(once.dagger());
+  const auto ir = lower_and_fuse(c, {.fuse = false});
+  EXPECT_EQ(dist::build_exchange_plan(ir, 1).stats.demoted_diagonal, 3u);
+  Xoshiro256 rng(25);
+  const auto init = random_lanes(rng, 4, 3);
+  expect_dist_matches_panel<double>(ir, 1, init, 1e-13);
+  expect_dist_matches_panel<float>(ir, 1, init, 1e-5);
 }
 
 TEST(DistExec, ProgramsCopiedOutOfAProgramSetOutliveIt) {

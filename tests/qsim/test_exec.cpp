@@ -4,8 +4,11 @@
 // panel must agree with gate-by-gate interpretation within precision
 // tolerance, in both float and double. Also: every application of one
 // unitary gate shares one matrix from lowering through each tier's
-// program, bitwise like unshared copies; real dense matrices keep no
-// imaginary plane; dense ops on one target set share one offset table.
+// program, bitwise like unshared copies; an adjoint application shares
+// its matrix by a flag and rounds to the planes of the explicit conjugate
+// transpose; a prepared dense-embedding context holds two dense arrays;
+// real dense matrices keep no imaginary plane; dense ops on one target
+// set share one offset table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,12 +19,14 @@
 
 #include "../support/exec_fixtures.hpp"
 #include "common/rng.hpp"
+#include "linalg/random_matrix.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
+#include "qsvt/solve.hpp"
 
 namespace {
 
@@ -171,8 +176,9 @@ void expect_one_plane_pair_per_matrix(const qsim::exec::Program<T>& program) {
 TEST(Exec, RepeatedUnitarySharesOneMatrixThroughEveryTier) {
   // U, U-dagger, U, ... six times on 4 of 5 qubits (wider than the fusion
   // window, so each application lowers to its own dense op). Lowering
-  // interns the two (matrix, adjoint, targets) keys; each tier rounds
-  // each of them once and keeps only the split planes.
+  // interns one (matrix, targets) key, U-dagger as a flag on U's array;
+  // each tier rounds U and U-dagger once each and keeps only the split
+  // planes.
   Xoshiro256 rng(48);
   const auto u = test::random_unitary(rng, 16);
   const std::vector<std::uint32_t> targets = {3, 0, 4, 1};  // unsorted: remapped once
@@ -184,7 +190,7 @@ TEST(Exec, RepeatedUnitarySharesOneMatrixThroughEveryTier) {
   std::size_t dense = 0;
   for (const auto& op : ir.ops) dense += op.kind == qsim::exec::OpKind::kDense;
   EXPECT_EQ(dense, 6u);
-  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &qsim::exec::FusedOp::payload).size(), 2u);
+  EXPECT_EQ(test::distinct_dense_arrays(ir.ops, &qsim::exec::FusedOp::payload).size(), 1u);
   EXPECT_EQ(test::distinct_dense_arrays(ir_separate.ops, &qsim::exec::FusedOp::payload).size(),
             6u);
 
@@ -198,6 +204,111 @@ TEST(Exec, RepeatedUnitarySharesOneMatrixThroughEveryTier) {
                        replay_two_lanes(qsim::exec::specialize<float>(ir_separate)));
   expect_bitwise_equal(replay_two_lanes(f64),
                        replay_two_lanes(qsim::exec::specialize<double>(ir_separate)));
+}
+
+linalg::Matrix<qsim::c64> conj_transpose(const linalg::Matrix<qsim::c64>& u) {
+  linalg::Matrix<qsim::c64> out(u.cols(), u.rows());
+  for (std::size_t r = 0; r < u.rows(); ++r) {
+    for (std::size_t c = 0; c < u.cols(); ++c) out(c, r) = std::conj(u(r, c));
+  }
+  return out;
+}
+
+/// The one dense op of `program`.
+template <typename T>
+const qsim::exec::CompiledOp<T>& only_dense_op(const qsim::exec::Program<T>& program) {
+  const qsim::exec::CompiledOp<T>* found = nullptr;
+  for (const auto& op : program.ops) {
+    if (op.kind != qsim::exec::OpKind::kDense) continue;
+    EXPECT_EQ(found, nullptr) << "more than one dense op";
+    found = &op;
+  }
+  EXPECT_NE(found, nullptr);
+  return *found;
+}
+
+template <typename T>
+void expect_equal_arrays(const qsim::exec::SharedArray<T>& got,
+                         const qsim::exec::SharedArray<T>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << "entry " << i;
+}
+
+template <typename T>
+void adjoint_planes_are_the_explicit_planes() {
+  Xoshiro256 rng(91);
+  const auto u = test::random_unitary(rng, 16);
+  for (const std::vector<std::uint32_t>& targets :
+       {std::vector<std::uint32_t>{0, 1, 3, 4}, std::vector<std::uint32_t>{3, 0, 4, 1}}) {
+    qsim::Circuit applied(5);
+    applied.unitary(targets, u);
+    const auto flagged_ir = qsim::exec::lower_and_fuse(applied.dagger());
+    ASSERT_EQ(flagged_ir.ops.size(), 1u);
+    EXPECT_TRUE(flagged_ir.ops[0].adjoint);
+    qsim::Circuit explicit_dagger(5);
+    explicit_dagger.unitary(targets, conj_transpose(u));
+    const auto explicit_ir = qsim::exec::lower_and_fuse(explicit_dagger);
+    EXPECT_FALSE(explicit_ir.ops[0].adjoint);
+
+    const auto got_program = qsim::exec::specialize<T>(flagged_ir);
+    const auto want_program = qsim::exec::specialize<T>(explicit_ir);
+    const auto& got = only_dense_op(got_program);
+    const auto& want = only_dense_op(want_program);
+    ASSERT_FALSE(want.payload_im.empty());
+    expect_equal_arrays(got.payload_re, want.payload_re);
+    expect_equal_arrays(got.payload_im, want.payload_im);
+  }
+}
+
+TEST(Exec, AdjointPlanesEqualExplicitConjugateTransposePlanes) {
+  // U-dagger shares U's array and carries a flag; rounding it to a tier
+  // gives bit for bit the planes of a conjugate-transposed copy, on
+  // sorted targets and on remapped ones.
+  adjoint_planes_are_the_explicit_planes<float>();
+  adjoint_planes_are_the_explicit_planes<double>();
+}
+
+TEST(Exec, AdjointOfComplexUnitaryReplaysLikeTheInterpreter) {
+  // Complex U and U-dagger: wide (its own dense op, read through the
+  // flag when specialized), controlled, and narrow enough to fuse into a
+  // window with neighbouring gates (read through the flag when embedded).
+  Xoshiro256 rng(92);
+  const auto u4 = test::random_unitary(rng, 16);
+  const auto u2 = test::random_unitary(rng, 4);
+  qsim::Circuit wide(5);
+  wide.unitary({0, 2, 3, 4}, u4);
+  qsim::Circuit narrow(5);
+  narrow.unitary({1, 0}, u2);
+  qsim::Circuit c(5);
+  c.append(wide).append(wide.dagger()).h(1);
+  c.append(narrow.dagger()).s(0).append(narrow).append(narrow.dagger());
+  c.append(wide.dagger().controlled({1}, {}));
+  const auto ir = qsim::exec::lower_and_fuse(c);
+  std::size_t flagged = 0;
+  for (const auto& op : ir.ops) flagged += op.adjoint;
+  EXPECT_EQ(flagged, 2u);  // the two wide daggers; the narrow ones fused
+  EXPECT_LT(compiled_vs_interpreted<double>(c, 5, {}), 1e-11);
+  EXPECT_LT(compiled_vs_interpreted<float>(c, 5, {}), 1e-4);
+  EXPECT_LT(compiled_vs_interpreted<double>(c, 5, {.fuse = false}), 1e-11);
+}
+
+TEST(Exec, DenseEmbeddingIrHoldsTwoDenseArrays) {
+  // A prepared dense-embedding context lowers its block encoding U by
+  // reference and every U-dagger as a flag on the same array, so the IR
+  // holds U and the one fused window, at both production sizes.
+  for (const std::size_t n : {64, 128}) {
+    Xoshiro256 rng(n);
+    qsvt::QsvtOptions options;
+    options.eps_l = 5e-2;
+    const auto ctx = qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, n, 20.0), options);
+    const auto& ops = ctx.programs->ir().ops;
+    const auto arrays = test::distinct_dense_arrays(ops, &qsim::exec::FusedOp::payload);
+    EXPECT_EQ(arrays.size(), 2u) << "n=" << n;
+    EXPECT_EQ(arrays.count(ctx.be.circuit.gates().front().matrix->data()), 1u) << "n=" << n;
+    std::size_t flagged = 0;
+    for (const auto& op : ops) flagged += op.adjoint;
+    EXPECT_GT(flagged, 0u) << "n=" << n;
+  }
 }
 
 /// Every dense op of `ops`: real (no imaginary plane) iff it has
@@ -266,10 +377,9 @@ void expect_one_offset_table_per_target_set(const std::vector<qsim::exec::Compil
 
 TEST(Exec, SortedUnitaryPayloadIsTheGateMatrix) {
   // A unitary already on ascending targets lowers to the gate's own matrix
-  // by reference, so a prepared context holds one copy of its block
-  // encoding; the adjoint applications share one resolved copy. The IR
-  // keeps the matrix alive after the circuit is gone, and sharing changes
-  // no value.
+  // by reference, adjoint applications included, so a prepared context
+  // holds one copy of its block encoding. The IR keeps the matrix alive
+  // after the circuit is gone, and sharing changes no value.
   Xoshiro256 rng(49);
   const auto u = test::random_unitary(rng, 16);
   const std::vector<std::uint32_t> targets = {0, 1, 3, 4};
@@ -280,7 +390,7 @@ TEST(Exec, SortedUnitaryPayloadIsTheGateMatrix) {
     const auto c = test::alternating_unitary(5, targets, u, 2, 6, true);
     ir = qsim::exec::lower_and_fuse(c);
     const auto arrays = test::distinct_dense_arrays(ir.ops, &qsim::exec::FusedOp::payload);
-    EXPECT_EQ(arrays.size(), 2u);
+    EXPECT_EQ(arrays.size(), 1u);
     EXPECT_EQ(arrays.count(c.gates().front().matrix->data()), 1u);
   }
   expect_bitwise_equal(replay_two_lanes(qsim::exec::specialize<double>(ir)),
